@@ -10,24 +10,37 @@ use pyx_server::Workload;
 use pyx_workloads::{tpcc, tpcw};
 use std::sync::Arc;
 
-/// An application program with its data and request mix.
+/// Pyxis CPU budget of every workload, as a fraction of the profiled
+/// load allowed on the DB host, as in the paper's TPC-C scenario
+/// (`scenarios::TpccEnv::build(2.0)`).
+pub const BUDGET: f64 = 2.0;
+
+/// Seed of every workload's base data.
+pub const LOAD_SEED: u64 = 7;
+/// Seed of the requests every workload's profiling run replays.
+pub const PROFILE_SEED: u64 = 11;
+
+/// An application program with its data, request mix and profiling plan.
 #[derive(Debug, Clone, Copy)]
-pub enum Program {
+pub struct Program {
+    pub kind: Kind,
+    /// Requests the profiling run replays.
+    pub profile_txns: usize,
+}
+
+/// Which program, and the knobs its request generator takes.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
     /// TPC-C new-order with `lines` order lines per order.
     NewOrder {
         scale: tpcc::TpccScale,
         lines: (usize, usize),
-        load_seed: u64,
-        profile_seed: u64,
-        profile_txns: usize,
     },
-    /// TPC-W browsing interactions plus admin writes on hot items.
+    /// TPC-W browsing interactions plus `write_pct`% admin writes on hot
+    /// items.
     ReadMostly {
         scale: tpcw::TpcwScale,
         write_pct: u32,
-        load_seed: u64,
-        profile_seed: u64,
-        profile_txns: usize,
     },
     /// TPC-C remote-warehouse mix: new-orders whose lines may name a
     /// remote supply warehouse, and payments that may settle a remote
@@ -35,38 +48,28 @@ pub enum Program {
     RemoteMix {
         scale: tpcc::TpccScale,
         lines: (usize, usize),
-        load_seed: u64,
-        profile_seed: u64,
-        profile_txns: usize,
     },
 }
 
 impl Program {
     pub fn src(&self) -> &'static str {
-        match self {
-            Program::NewOrder { .. } => tpcc::SRC,
-            Program::ReadMostly { .. } => tpcw::SRC_READ_MOSTLY,
-            Program::RemoteMix { .. } => tpcc::REMOTE_SRC,
+        match self.kind {
+            Kind::NewOrder { .. } => tpcc::SRC,
+            Kind::ReadMostly { .. } => tpcw::SRC_READ_MOSTLY,
+            Kind::RemoteMix { .. } => tpcc::REMOTE_SRC,
         }
     }
 
     /// Create the schema and bulk-load the base data into `e`.
     pub fn load(&self, e: &mut Engine) {
-        match *self {
-            Program::NewOrder {
-                scale, load_seed, ..
-            }
-            | Program::RemoteMix {
-                scale, load_seed, ..
-            } => {
+        match self.kind {
+            Kind::NewOrder { scale, .. } | Kind::RemoteMix { scale, .. } => {
                 tpcc::create_schema(e);
-                tpcc::load(e, scale, load_seed);
+                tpcc::load(e, scale, LOAD_SEED);
             }
-            Program::ReadMostly {
-                scale, load_seed, ..
-            } => {
+            Kind::ReadMostly { scale, .. } => {
                 tpcw::create_schema(e);
-                tpcw::load(e, scale, load_seed);
+                tpcw::load(e, scale, LOAD_SEED);
             }
         }
     }
@@ -80,18 +83,16 @@ impl Program {
     /// The request generator for `seed`. The program only ever sees the
     /// requests it produces.
     pub fn generator(&self, pyxis: &Pyxis, seed: u64) -> Box<dyn Workload + Send> {
-        match *self {
-            Program::NewOrder { scale, lines, .. } => {
+        match self.kind {
+            Kind::NewOrder { scale, lines } => {
                 let entry = pyxis.entry("NewOrder", "run").expect("new-order entry");
                 Box::new(tpcc::NewOrderGen::new(entry, scale, seed).with_lines(lines.0, lines.1))
             }
-            Program::ReadMostly {
-                scale, write_pct, ..
-            } => {
+            Kind::ReadMostly { scale, write_pct } => {
                 let entries = tpcw::ReadMostlyEntries::find(&pyxis.prog);
                 Box::new(tpcw::ReadMostlyMix::new(entries, scale, write_pct, seed))
             }
-            Program::RemoteMix { scale, lines, .. } => {
+            Kind::RemoteMix { scale, lines } => {
                 let order = pyxis
                     .entry("RemoteOrder", "remoteOrder")
                     .expect("order entry");
@@ -103,26 +104,6 @@ impl Program {
                         .with_lines(lines.0, lines.1),
                 )
             }
-        }
-    }
-
-    fn profile_plan(&self) -> (u64, usize) {
-        match *self {
-            Program::NewOrder {
-                profile_seed,
-                profile_txns,
-                ..
-            }
-            | Program::ReadMostly {
-                profile_seed,
-                profile_txns,
-                ..
-            }
-            | Program::RemoteMix {
-                profile_seed,
-                profile_txns,
-                ..
-            } => (profile_seed, profile_txns),
         }
     }
 }
@@ -153,11 +134,10 @@ fn ms_since(clock: &Clock, t0: u64) -> f64 {
     (clock.ns() - t0) as f64 / 1e6
 }
 
-/// Run the Pyxis pipeline on `program` and solve for `budget` (a fraction
-/// of the profiled load allowed on the DB host). Each stage is timed by
+/// Run the Pyxis pipeline on `program` and solve for [`BUDGET`]. Each stage is timed by
 /// calling it directly: `pyx_lang::compile`, `pyx_analysis::analyze`,
 /// `Pyxis::profile`, `Pyxis::graph`, `Pyxis::partition`, `Pyxis::deploy`.
-pub fn build(program: &Program, budget: f64, stages: &mut Stages) -> App {
+pub fn build(program: &Program, stages: &mut Stages) -> App {
     let clock = Clock::new();
     let config = PyxisConfig::default();
 
@@ -178,13 +158,12 @@ pub fn build(program: &Program, budget: f64, stages: &mut Stages) -> App {
     let mut scratch = program.fresh_engine();
     stages.load_ms += ms_since(&clock, t);
 
-    let (profile_seed, profile_txns) = program.profile_plan();
-    let mut gen = program.generator(&pyxis, profile_seed);
+    let mut gen = program.generator(&pyxis, PROFILE_SEED);
     let t = clock.ns();
     let profile = pyxis
         .profile(
             &mut scratch,
-            (0..profile_txns).map(|i| {
+            (0..program.profile_txns).map(|i| {
                 let r = gen.next_txn(i);
                 (r.entry, r.args)
             }),
@@ -197,7 +176,7 @@ pub fn build(program: &Program, budget: f64, stages: &mut Stages) -> App {
     stages.graph_ms += ms_since(&clock, t);
 
     let t = clock.ns();
-    let placement = pyxis.partition(&graph, budget);
+    let placement = pyxis.partition(&graph, BUDGET);
     stages.solve_ms += ms_since(&clock, t);
 
     let t = clock.ns();

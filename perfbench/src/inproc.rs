@@ -13,6 +13,9 @@ pub struct Phase {
     pub samples: Samples,
     /// Wall time until the last in-flight transaction retired.
     pub wall_ns: u64,
+    /// Wall time until the last request was submitted; the drain after
+    /// it runs with fewer sessions than the loop has.
+    pub full_ns: u64,
     pub submitted: u64,
     pub completed: u64,
     pub rolled_back: u64,
@@ -37,6 +40,7 @@ impl Phase {
     pub fn absorb(&mut self, o: Phase) {
         self.samples.extend(&o.samples);
         self.wall_ns += o.wall_ns;
+        self.full_ns += o.full_ns;
         self.submitted += o.submitted;
         self.completed += o.completed;
         self.rolled_back += o.rolled_back;
@@ -90,18 +94,25 @@ pub fn engine_delta(after: &EngineStats, before: &EngineStats) -> EngineStats {
     }
 }
 
+/// Virtual time between the arrival batches of [`arrival_ns`]: 1 ms, the
+/// dispatcher's default restart delay. It is the benchmark's own constant,
+/// not read from `DispatcherConfig::restart_delay_ns`, so that a change to
+/// the restart policy changes the order of events and shows in the
+/// figures.
+pub const ARRIVAL_STEP_NS: u64 = 1_000_000;
+
 /// The virtual time at which the `tag`-th request of a loop of
-/// `sessions` clients arrives: one restart delay later per `sessions`
-/// arrivals. The dispatcher orders its events by virtual time and
-/// `InstantEnv` prices all work at zero, so arrivals must be what
+/// `sessions` clients arrives: one [`ARRIVAL_STEP_NS`] later per
+/// `sessions` arrivals. The dispatcher orders its events by virtual time
+/// and `InstantEnv` prices all work at zero, so arrivals must be what
 /// advances it. Requests arriving at one instant interleave step by step
 /// and contend for locks; a wait-die victim, rescheduled one restart
 /// delay later, runs once the requests that arrived before it have
 /// drained. (Were every request to arrive at one instant, new arrivals
 /// would always sort ahead of it and it would starve until the loop
 /// stopped submitting.) The schedule is a function of the inputs alone.
-pub fn arrival_ns(tag: u64, sessions: usize, restart_delay_ns: u64) -> u64 {
-    tag / sessions as u64 * restart_delay_ns
+pub fn arrival_ns(tag: u64, sessions: usize) -> u64 {
+    tag / sessions as u64 * ARRIVAL_STEP_NS
 }
 
 /// Run one phase of a closed loop of `sessions` clients that submits
@@ -139,6 +150,7 @@ pub fn run_phase(
         while !stopping && disp.active_sessions() + disp.queue_len() < sessions {
             if ph.submitted == txns {
                 stopping = true;
+                ph.full_ns = clock.ns();
                 break;
             }
             let tag = ph.submitted;
@@ -154,7 +166,7 @@ pub fn run_phase(
                 Db::Plain(_) => gen.next_txn(tag as usize),
             };
             let ts = clock.ns();
-            let now = arrival_ns(tag, sessions, disp.config().restart_delay_ns);
+            let now = arrival_ns(tag, sessions);
             let admit = disp.submit(now, req, tag);
             if let Db::Traced(t) = &mut db {
                 let te = t.log.now();

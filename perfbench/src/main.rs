@@ -21,23 +21,42 @@ mod socket;
 mod stats;
 mod trace;
 
-use apps::{App, Program, Stages};
+use apps::{App, Kind, Program, Stages};
 use inproc::Phase;
 use out::Obj;
 use pyx_db::Engine;
 use pyx_server::{Deployment, Dispatcher, DispatcherConfig};
 use pyx_sim::SimResult;
 use pyx_workloads::{tpcc, tpcw};
-use stats::{median, ratio, Samples, Summary};
+use stats::{median, peak_rss_mb, ratio, Samples, Summary};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use trace::{Layer, SpanLog};
 
-/// Set-ups per run; `setup_s` is their median.
+/// Set-ups before the measured phase; the socket workload repeats them
+/// after it. `setup_s` is the median of all set-ups of a run.
 const SETUPS: usize = 9;
-/// Windows a measured phase is split into; throughput and latency
-/// percentiles are medians over windows.
-const WINDOWS: usize = 10;
+/// Serving time between the set-ups the in-process workloads interleave
+/// with their rounds, so that `setup_s` samples the host's speed across
+/// the whole run and not at its ends alone.
+const SETUP_EVERY_NS: u64 = 1_000_000_000;
+/// Retirements after which a run reads its peak resident set, so that
+/// memory is compared at a fixed amount of work: the socket workload's
+/// shards grow with every commit, and in process the allocator's heap
+/// grows with the rounds served.
+const RSS_AT_TXNS: u64 = 8_000;
+/// Windows the socket workload's measured phase is split into; its
+/// figures are read from the fastest of them (`stats::FAST_Q`). At
+/// ~1,500 retirements a second, a 30 s run gives each ~1,500 samples, so
+/// a window's p99 has ten or more beyond it.
+const WINDOWS: usize = 30;
+/// Requests in one in-process round.
+const ROUND_TXNS: u64 = 4_000;
+/// Length of the windows an in-process round is split into; a run's
+/// figures are read from the fastest of them (`stats::FAST_Q`). Those
+/// retire 1,100–2,000 requests each, so a window's p99 has at least ten
+/// beyond it.
+const WINDOW_NS: u64 = 100_000_000;
 /// Requests the traced run of the socket workload replays in process to
 /// count control transfers of its partition.
 const PROBE_TXNS: u64 = 2_000;
@@ -45,8 +64,8 @@ const PROBE_TXNS: u64 = 2_000;
 #[derive(Debug, Clone, Copy)]
 enum Serving {
     /// One `Dispatcher` with `InstantEnv`, `sessions` closed-loop client
-    /// sessions on one thread, in rounds of `round_txns` requests.
-    Inproc { sessions: usize, round_txns: u64 },
+    /// sessions on one thread, in rounds of [`ROUND_TXNS`] requests.
+    Inproc { sessions: usize },
     /// `NetServer` over UDS to `socket::CLIENTS` `NetClient` threads.
     Socket,
 }
@@ -55,89 +74,48 @@ enum Serving {
 struct Def {
     name: &'static str,
     program: Program,
-    /// Pyxis CPU budget, as a fraction of the profiled load.
-    budget: f64,
     serving: Serving,
-    /// Virtual seconds the modelled testbed measures.
-    model_s: f64,
     /// Also model the JDBC partition and check Pyxis is faster.
     jdbc_reference: bool,
 }
-
-const LOAD_SEED: u64 = 7;
-const PROFILE_SEED: u64 = 11;
 
 fn defs() -> Vec<Def> {
     vec![
         Def {
             name: "tpcc-inproc",
-            program: Program::NewOrder {
-                scale: tpcc::TpccScale::default(),
-                lines: (3, 8),
-                load_seed: LOAD_SEED,
-                profile_seed: PROFILE_SEED,
+            program: Program {
+                kind: Kind::NewOrder {
+                    scale: tpcc::TpccScale::default(),
+                    lines: (3, 8),
+                },
                 profile_txns: 200,
             },
-            budget: 2.0,
-            serving: Serving::Inproc {
-                sessions: 32,
-                round_txns: 4_000,
-            },
-            model_s: model::FULL_POINT_S,
-            jdbc_reference: false,
+            serving: Serving::Inproc { sessions: 32 },
+            jdbc_reference: true,
         },
         Def {
             name: "tpcw-readmostly-inproc",
-            program: Program::ReadMostly {
-                scale: tpcw::TpcwScale::default(),
-                write_pct: 10,
-                load_seed: LOAD_SEED,
-                profile_seed: PROFILE_SEED,
+            program: Program {
+                kind: Kind::ReadMostly {
+                    scale: tpcw::TpcwScale::default(),
+                    write_pct: 10,
+                },
                 profile_txns: 400,
             },
-            budget: 2.0,
-            serving: Serving::Inproc {
-                sessions: 32,
-                round_txns: 4_000,
-            },
-            model_s: model::FULL_POINT_S,
+            serving: Serving::Inproc { sessions: 32 },
             jdbc_reference: false,
         },
         Def {
             name: "tpcc-socket-2pc",
-            program: Program::RemoteMix {
-                scale: tpcc::TpccScale::default(),
-                lines: (2, 5),
-                load_seed: LOAD_SEED,
-                profile_seed: PROFILE_SEED,
+            program: Program {
+                kind: Kind::RemoteMix {
+                    scale: tpcc::TpccScale::default(),
+                    lines: (2, 5),
+                },
                 profile_txns: 200,
             },
-            budget: 2.0,
             serving: Serving::Socket,
-            model_s: model::FULL_POINT_S,
             jdbc_reference: false,
-        },
-        Def {
-            name: "tpcc-modeled",
-            // `scenarios::TpccEnv::build(2.0)`: 10 warehouses, 5–15 lines,
-            // one seed for load and profile, 500 profiled transactions.
-            program: Program::NewOrder {
-                scale: tpcc::TpccScale {
-                    warehouses: 10,
-                    ..tpcc::TpccScale::default()
-                },
-                lines: (5, 15),
-                load_seed: 0xC0DE,
-                profile_seed: 0xC0DE,
-                profile_txns: 500,
-            },
-            budget: 2.0,
-            serving: Serving::Inproc {
-                sessions: 20,
-                round_txns: 2_000,
-            },
-            model_s: model::FULL_POINT_S,
-            jdbc_reference: true,
         },
     ]
 }
@@ -215,16 +193,6 @@ fn check(checks: &mut Vec<Check>, name: &'static str, ok: bool, detail: String) 
     checks.push(Check { name, ok, detail });
 }
 
-/// Peak resident set of this process, in MiB.
-fn peak_rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        .map_or(0.0, |kb| kb / 1024.0)
-}
-
 /// The served database a set-up leaves ready.
 enum Backend {
     Inproc(Box<Engine>),
@@ -236,9 +204,9 @@ enum Backend {
 fn witness(program: &Program, engines: &mut [&mut Engine]) -> i64 {
     engines
         .iter_mut()
-        .map(|e| match program {
-            Program::NewOrder { .. } | Program::RemoteMix { .. } => e.table_len("orders") as i64,
-            Program::ReadMostly { .. } => {
+        .map(|e| match program.kind {
+            Kind::NewOrder { .. } | Kind::RemoteMix { .. } => e.table_len("orders") as i64,
+            Kind::ReadMostly { .. } => {
                 let r = e
                     .exec_auto("SELECT SUM(i_total_sold) FROM item", &[])
                     .expect("sum of i_total_sold");
@@ -255,15 +223,13 @@ fn witness(program: &Program, engines: &mut [&mut Engine]) -> i64 {
 fn expected_witness(program: &Program, committed: &BTreeMap<&'static str, u64>) -> i64 {
     committed
         .iter()
-        .map(|(label, n)| match program {
+        .map(|(label, n)| match program.kind {
             // Every committed new-order inserts one `orders` row.
-            Program::NewOrder { .. } | Program::RemoteMix { .. }
-                if label.starts_with("new-order") =>
-            {
+            Kind::NewOrder { .. } | Kind::RemoteMix { .. } if label.starts_with("new-order") => {
                 *n as i64
             }
             // Every committed admin update adds 1 to 4 distinct items.
-            Program::ReadMostly { .. } if *label == "admin-update" => 4 * *n as i64,
+            Kind::ReadMostly { .. } if *label == "admin-update" => 4 * *n as i64,
             _ => 0,
         })
         .sum()
@@ -275,7 +241,6 @@ fn phase_obj(traced: bool, seconds: f64, s: &Summary) -> Obj {
         .num("seconds", seconds)
         .num("txn_per_s", s.txn_per_s)
         .num("lat_p50_us", s.lat_p50_us)
-        .num("lat_p95_us", s.lat_p95_us)
         .num("lat_p99_us", s.lat_p99_us)
         .int("samples", s.samples() as u64)
         .int("windows", s.windows.len() as u64)
@@ -283,6 +248,14 @@ fn phase_obj(traced: bool, seconds: f64, s: &Summary) -> Obj {
         .raw(
             "window_txn_per_s",
             out::array(s.windows.iter().map(|w| out::num(w.txn_per_s))),
+        )
+        .raw(
+            "window_p50_us",
+            out::array(s.windows.iter().map(|w| out::num(w.p50_us))),
+        )
+        .raw(
+            "window_p99_us",
+            out::array(s.windows.iter().map(|w| out::num(w.p99_us))),
         )
 }
 
@@ -346,50 +319,72 @@ struct ServedFigures {
     traced: Option<Summary>,
     attempted: u64,
     failed: u64,
+    /// Peak resident set once [`RSS_AT_TXNS`] requests had retired; every
+    /// untraced run reads it.
+    peak_rss_mb: Option<f64>,
     layers: BTreeMap<&'static str, f64>,
     detail: Obj,
+}
+
+/// One timed set-up; its wall time and stage times are appended.
+fn set_up(
+    def: &Def,
+    args: &Args,
+    k: usize,
+    setup_s: &mut Vec<f64>,
+    stages: &mut Vec<Stages>,
+) -> (App, Backend) {
+    let t = std::time::Instant::now();
+    let mut st = Stages::default();
+    let app = apps::build(&def.program, &mut st);
+    let backend = match def.serving {
+        Serving::Inproc { .. } => {
+            let t = std::time::Instant::now();
+            let e = def.program.fresh_engine();
+            st.load_ms += t.elapsed().as_secs_f64() * 1e3;
+            Backend::Inproc(Box::new(e))
+        }
+        Serving::Socket => {
+            let (served, load_ms) = socket::start(&app, &def.program, &args.workdir, k);
+            st.load_ms += load_ms;
+            Backend::Socket(served)
+        }
+    };
+    setup_s.push(t.elapsed().as_secs_f64());
+    stages.push(st);
+    (app, backend)
+}
+
+/// Stop a set-up that serves nothing.
+fn tear_down(backend: Backend) {
+    if let Backend::Socket(served) = backend {
+        let (_, wals) = served.shutdown();
+        for p in wals {
+            let _ = std::fs::remove_file(p);
+        }
+    }
 }
 
 fn run(def: &Def, args: &Args) -> Outcome {
     let mut checks = Vec::new();
 
     // Set-up, repeated: pipeline, load, and (socket) server start and
-    // client connect. The last set-up serves the run.
-    let mut setup_s = Vec::with_capacity(SETUPS);
-    let mut stages: Vec<Stages> = Vec::with_capacity(SETUPS);
+    // client connect. The last set-up before the measured phase serves it.
+    let mut setup_s = Vec::with_capacity(2 * SETUPS);
+    let mut stages: Vec<Stages> = Vec::with_capacity(2 * SETUPS);
     let mut kept: Option<(App, Backend)> = None;
     for k in 0..SETUPS {
-        let t = std::time::Instant::now();
-        let mut st = Stages::default();
-        let app = apps::build(&def.program, def.budget, &mut st);
-        let backend = match def.serving {
-            Serving::Inproc { .. } => {
-                let t = std::time::Instant::now();
-                let e = def.program.fresh_engine();
-                st.load_ms += t.elapsed().as_secs_f64() * 1e3;
-                Backend::Inproc(Box::new(e))
-            }
-            Serving::Socket => {
-                let (served, load_ms) = socket::start(&app, &def.program, &args.workdir, k);
-                st.load_ms += load_ms;
-                Backend::Socket(served)
-            }
-        };
-        setup_s.push(t.elapsed().as_secs_f64());
-        stages.push(st);
+        let (app, backend) = set_up(def, args, k, &mut setup_s, &mut stages);
         if k + 1 == SETUPS {
             kept = Some((app, backend));
-        } else if let Backend::Socket(served) = backend {
-            let (_, wals) = served.shutdown();
-            for p in wals {
-                let _ = std::fs::remove_file(p);
-            }
+        } else {
+            tear_down(backend);
         }
     }
     let (app, backend) = kept.expect("at least one set-up");
 
     // The modelled testbed.
-    let cfg = model::testbed(def.model_s);
+    let cfg = model::testbed();
     let pyx = model::simulate(&def.program, &app, &app.part, args.seed, &cfg);
     let mut jdbc: Option<SimResult> = None;
     if def.jdbc_reference {
@@ -431,9 +426,28 @@ fn run(def: &Def, args: &Args) -> Outcome {
     );
 
     let secs_ns = args.seconds * 1_000_000_000;
+    let mut k = SETUPS;
+    let mut another_set_up = || {
+        tear_down(set_up(def, args, k, &mut setup_s, &mut stages).1);
+        k += 1;
+    };
     let served = match backend {
-        Backend::Inproc(engine) => serve_inproc(def, args, &app, *engine, secs_ns, &mut checks),
-        Backend::Socket(s) => serve_socket(def, args, &app, s, secs_ns, &mut checks),
+        Backend::Inproc(engine) => serve_inproc(
+            def,
+            args,
+            &app,
+            *engine,
+            secs_ns,
+            &mut another_set_up,
+            &mut checks,
+        ),
+        Backend::Socket(s) => {
+            let served = serve_socket(def, args, &app, s, secs_ns, &mut checks);
+            for _ in 0..SETUPS {
+                another_set_up();
+            }
+            served
+        }
     };
 
     let stage = |f: fn(&Stages) -> f64| median(&stages.iter().map(f).collect::<Vec<_>>());
@@ -442,9 +456,13 @@ fn run(def: &Def, args: &Args) -> Outcome {
         vec![
             ("txn_per_s", u.txn_per_s, "1/s"),
             ("lat_p50_us", u.lat_p50_us, "us"),
-            ("lat_p95_us", u.lat_p95_us, "us"),
+            ("lat_p99_us", u.lat_p99_us, "us"),
             ("setup_s", median(&setup_s), "s"),
-            ("peak_rss_mb", peak_rss_mb(), "MiB"),
+            (
+                "peak_rss_mb",
+                served.peak_rss_mb.expect("untraced runs read memory"),
+                "MiB",
+            ),
             ("model_lat_mean_ms", pyx.avg_latency_ms, "ms"),
             ("model_lat_p95_ms", pyx.p95_latency_ms, "ms"),
             ("model_txn_per_s", pyx.throughput_tps, "1/s"),
@@ -487,7 +505,7 @@ fn run(def: &Def, args: &Args) -> Outcome {
         .num("pyxis_lat_mean_ms", pyx.avg_latency_ms)
         .num("pyxis_lat_p95_ms", pyx.p95_latency_ms)
         .num("offered_tps", model::OFFERED_TPS)
-        .num("virtual_s", def.model_s);
+        .num("virtual_s", cfg.duration_s - cfg.warmup_s);
     if let Some(j) = &jdbc {
         model_obj = model_obj
             .int("jdbc_completed", j.completed)
@@ -511,8 +529,9 @@ fn run(def: &Def, args: &Args) -> Outcome {
     }
 }
 
-/// Serve closed-loop rounds of `round_txns` requests, each on a freshly
-/// loaded database, until `secs_ns` of wall time has passed. A fresh
+/// Serve closed-loop rounds of [`ROUND_TXNS`] requests, each on a freshly
+/// loaded database, until `secs_ns` of wall time has been spent serving;
+/// `another_set_up` runs after each [`SETUP_EVERY_NS`] of it. A fresh
 /// database per round keeps every round on the same data size; without
 /// it throughput falls as `orders` and `order_line` grow, and a run's
 /// figure would depend on how far it got. Traced runs alternate untraced
@@ -523,13 +542,10 @@ fn serve_inproc(
     app: &App,
     engine: Engine,
     secs_ns: u64,
+    another_set_up: &mut dyn FnMut(),
     checks: &mut Vec<Check>,
 ) -> ServedFigures {
-    let Serving::Inproc {
-        sessions,
-        round_txns,
-    } = def.serving
-    else {
+    let Serving::Inproc { sessions } = def.serving else {
         unreachable!("in-process serving")
     };
     let clock = trace::Clock::new();
@@ -538,7 +554,18 @@ fn serve_inproc(
     let (mut untraced, mut traced) = (Vec::new(), Vec::new());
     let (mut total, mut traced_total) = (Phase::default(), Phase::default());
     let mut witness_errors = Vec::new();
-    for round in 0.. {
+    let (mut setting_up_ns, mut next_set_up_ns) = (0, SETUP_EVERY_NS);
+    let mut peak_rss = None;
+    let mut round = 0;
+    loop {
+        // Between rounds, with no round's database alive, so that the
+        // set-ups leave the peak resident set as it was.
+        if clock.ns() - setting_up_ns >= next_set_up_ns {
+            let t = clock.ns();
+            another_set_up();
+            setting_up_ns += clock.ns() - t;
+            next_set_up_ns += SETUP_EVERY_NS;
+        }
         let is_traced = args.trace && round % 2 == 1;
         let mut engine = next.take().unwrap_or_else(|| def.program.fresh_engine());
         let before = witness(&def.program, &mut [&mut engine]);
@@ -557,7 +584,7 @@ fn serve_inproc(
             &mut engine,
             &mut *gen,
             sessions,
-            round_txns,
+            ROUND_TXNS,
             is_traced,
         );
         let grew = witness(&def.program, &mut [&mut engine]) - before;
@@ -565,20 +592,29 @@ fn serve_inproc(
         if grew != want {
             witness_errors.push(format!("round {round}: grew by {grew}, expected {want}"));
         }
-        let w = p.samples.whole(p.wall_ns);
+        // Windows of about `WINDOW_NS` over the part of the round in
+        // which every session was busy.
+        let n = (p.full_ns as f64 / WINDOW_NS as f64).round().max(1.0) as usize;
+        let w = p.samples.windows(p.full_ns, n);
         if is_traced {
-            traced.push(w);
+            traced.extend(w);
             traced_total.absorb(p);
         } else {
-            untraced.push(w);
+            untraced.extend(w);
             total.absorb(p);
         }
-        let enough = !untraced.is_empty() && (!args.trace || !traced.is_empty());
-        if enough && clock.ns() >= secs_ns {
+        if peak_rss.is_none() && total.completed + traced_total.completed >= RSS_AT_TXNS {
+            peak_rss = Some(peak_rss_mb());
+        }
+        let serving_ns = clock.ns() - setting_up_ns;
+        let enough =
+            !untraced.is_empty() && (!args.trace || !traced.is_empty()) && peak_rss.is_some();
+        round += 1;
+        if enough && serving_ns >= secs_ns {
             break;
         }
     }
-    let rounds = untraced.len() + traced.len();
+    let rounds = round;
     let mut all = Phase::default();
     let traced_summary = (!traced.is_empty()).then(|| Summary::of(traced));
     let untraced_summary = Summary::of(untraced);
@@ -626,7 +662,8 @@ fn serve_inproc(
     let failed = all.errors + all.rejected;
     let mut detail = base_detail(def, args, all.submitted, failed)
         .int("sessions", sessions as u64)
-        .int("round_txns", round_txns)
+        .int("round_txns", ROUND_TXNS)
+        .int("peak_rss_at_txns", RSS_AT_TXNS)
         .int("rounds", rounds as u64)
         .int("load_threads", 1)
         .int("connections", 0)
@@ -646,6 +683,7 @@ fn serve_inproc(
         detail,
         untraced: Some(untraced_summary),
         traced: traced_summary,
+        peak_rss_mb: peak_rss,
         layers: layers.unwrap_or_default(),
     }
 }
@@ -738,11 +776,13 @@ fn serve_socket(
     } else {
         (secs_ns, vec![false])
     };
-    let phases: Vec<(bool, Vec<socket::ClientPhase>, u64, Vec<u64>)> = modes
+    let phases: Vec<(bool, socket::PhaseRun)> = modes
         .into_iter()
         .map(|traced| {
-            let (p, wall, echo) = socket::run_phase(&mut loops, &addr, phase_ns, traced);
-            (traced, p, wall, echo)
+            // Only untraced runs report memory.
+            let rss_at = if args.trace { 0 } else { RSS_AT_TXNS };
+            let run = socket::run_phase(&mut loops, &addr, phase_ns, rss_at, traced);
+            (traced, run)
         })
         .collect();
     served.clients = loops.into_iter().map(|l| l.client).collect();
@@ -750,8 +790,8 @@ fn serve_socket(
 
     let (mut attempted, mut errors, mut unknown, mut misrouted, mut new_orders) = (0, 0, 0, 0, 0);
     let mut first_error = None;
-    for (_, ps, _, _) in &phases {
-        for p in ps {
+    for (_, run) in &phases {
+        for p in &run.clients {
             attempted += p.submitted;
             errors += p.errors;
             unknown += p.unknown;
@@ -800,28 +840,23 @@ fn serve_socket(
     let mut fig = ServedFigures {
         attempted,
         failed: errors + unknown + misrouted,
+        peak_rss_mb: phases.iter().find_map(|(_, run)| run.peak_rss_mb),
         ..ServedFigures::default()
     };
     let mut phase_objs = Vec::new();
     let mut spans = None;
-    for (traced, ps, wall, echo) in &phases {
+    for (traced, run) in &phases {
+        let ps = &run.clients;
         let mut all = Samples::default();
         for p in ps {
             all.extend(&p.samples);
         }
-        // Throughput is the median over windows; the percentiles are taken
-        // over every sample of the phase, since at this rate one window
-        // holds too few samples beyond its tail percentiles.
-        let mut s = Summary::of(all.windows(phase_ns, WINDOWS));
-        let whole = all.whole(phase_ns);
-        s.lat_p50_us = whole.p50_us;
-        s.lat_p95_us = whole.p95_us;
-        s.lat_p99_us = whole.p99_us;
+        let s = Summary::of(all.windows(phase_ns, WINDOWS));
         phase_objs.push(
-            phase_obj(*traced, *wall as f64 / 1e9, &s)
+            phase_obj(*traced, run.wall_ns as f64 / 1e9, &s)
                 .int("submitted", ps.iter().map(|p| p.submitted).sum())
                 .int("rolled_back", ps.iter().map(|p| p.rolled_back).sum())
-                .int("echo_samples", echo.len() as u64)
+                .int("echo_samples", run.echo_ns.len() as u64)
                 .render(),
         );
         if *traced {
@@ -842,7 +877,7 @@ fn serve_socket(
                 .iter()
                 .map(|&l| log.agg(l).total_ns as f64)
                 .sum::<f64>();
-            let echo_f: Vec<f64> = echo.iter().map(|&e| e as f64).collect();
+            let echo_f: Vec<f64> = run.echo_ns.iter().map(|&e| e as f64).collect();
             fig.layers.insert("server.home_lat_p50_us", home.p50_us());
             fig.layers
                 .insert("server.remote_lat_p50_us", remote.p50_us());
@@ -939,6 +974,7 @@ fn serve_socket(
             ),
         )
         .int("multi_txns", report.multi_txns)
+        .int("peak_rss_at_txns", RSS_AT_TXNS)
         .raw("phases", out::array(phase_objs));
     if let Some(sp) = spans {
         fig.detail = fig.detail.obj("spans", sp);
@@ -951,19 +987,13 @@ fn base_detail(def: &Def, args: &Args, attempted: u64, failed: u64) -> Obj {
     Obj::new()
         .str("workload", def.name)
         .int("seed", args.seed)
-        .int(
-            "load_seed",
-            match def.program {
-                Program::NewOrder { load_seed, .. }
-                | Program::ReadMostly { load_seed, .. }
-                | Program::RemoteMix { load_seed, .. } => load_seed,
-            },
-        )
+        .int("load_seed", apps::LOAD_SEED)
+        .int("profile_seed", apps::PROFILE_SEED)
         .bool("traced", args.trace)
         .int("run_seconds", args.seconds)
         .int("nproc", nproc)
         .str("revision", &args.revision)
-        .num("budget", def.budget)
+        .num("budget", apps::BUDGET)
         .num("failed_frac", ratio(failed as f64, attempted as f64))
 }
 

@@ -10,11 +10,10 @@ use pyx_sim::{Deployment, SimConfig, SimResult};
 /// Offered load on the modelled testbed, transactions per virtual second.
 pub const OFFERED_TPS: f64 = 600.0;
 
-/// `TpccEnv::cfg(16)` at [`OFFERED_TPS`], measured for `duration_s`
-/// virtual seconds after the scenario's warm-up.
-pub fn testbed(duration_s: f64) -> SimConfig {
+/// `TpccEnv::cfg(16)` at [`OFFERED_TPS`], for a full scenario point.
+pub fn testbed() -> SimConfig {
     SimConfig {
-        duration_s: WARMUP_S + duration_s,
+        duration_s: POINT_DURATION_S,
         warmup_s: WARMUP_S,
         target_tps: OFFERED_TPS,
         clients: 20,
@@ -26,10 +25,6 @@ pub fn testbed(duration_s: f64) -> SimConfig {
         ..SimConfig::default()
     }
 }
-
-/// The measured span of a full scenario point (`POINT_DURATION_S` minus
-/// its warm-up).
-pub const FULL_POINT_S: f64 = POINT_DURATION_S - WARMUP_S;
 
 /// Simulate `part` serving `program`'s requests for `seed` on a freshly
 /// loaded database.

@@ -3,8 +3,8 @@
 //! a Unix-domain socket to closed-loop `NetClient` threads, each with one
 //! connection and one request in flight.
 
-use crate::apps::{App, Program};
-use crate::stats::Samples;
+use crate::apps::{App, Kind, Program};
+use crate::stats::{self, Samples};
 use crate::trace::{Clock, Layer, SpanLog};
 use pyx_db::{Engine, FileSink};
 use pyx_server::net::{
@@ -13,7 +13,8 @@ use pyx_server::net::{
 use pyx_server::{ShardedConfig, ShardedReport, ShardedServer, Workload};
 use pyx_workloads::tpcc;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 pub const SHARDS: usize = 2;
@@ -32,10 +33,7 @@ pub struct Served {
 }
 
 fn sharded_engines(program: &Program) -> Vec<Engine> {
-    let Program::RemoteMix {
-        scale, load_seed, ..
-    } = *program
-    else {
+    let Kind::RemoteMix { scale, .. } = program.kind else {
         unreachable!("the socket workload serves the remote mix")
     };
     let mut engines: Vec<Engine> = (0..SHARDS)
@@ -45,7 +43,7 @@ fn sharded_engines(program: &Program) -> Vec<Engine> {
             e
         })
         .collect();
-    tpcc::load_sharded(&mut engines, scale, load_seed);
+    tpcc::load_sharded(&mut engines, scale, crate::apps::LOAD_SEED);
     engines
 }
 
@@ -148,9 +146,24 @@ fn is_remote(label: &str) -> bool {
     label.ends_with("-remote")
 }
 
-/// Drive one client until `stop_ns` on `clock`. Submission and retirement
+/// Retirements of all clients of a phase, and the peak resident set read
+/// when their count first reached `rss_at`.
+struct Progress {
+    retired: AtomicU64,
+    rss_at: u64,
+    peak_rss_mb: OnceLock<f64>,
+}
+
+/// Drive one client until `stop_ns` on `clock`, and on past it until the
+/// phase has retired `progress.rss_at` requests. Submission and retirement
 /// are timed per request; with `traced` they are also recorded as spans.
-fn client_phase(c: &mut ClientLoop, clock: Clock, stop_ns: u64, traced: bool) -> ClientPhase {
+fn client_phase(
+    c: &mut ClientLoop,
+    clock: Clock,
+    stop_ns: u64,
+    traced: bool,
+    progress: &Progress,
+) -> ClientPhase {
     let mut ph = ClientPhase {
         log: traced.then(|| SpanLog::new(clock)),
         ..ClientPhase::default()
@@ -205,7 +218,11 @@ fn client_phase(c: &mut ClientLoop, clock: Clock, stop_ns: u64, traced: bool) ->
             None if d.label.starts_with("new-order") => ph.new_orders += 1,
             None => {}
         }
-        if tf >= stop_ns {
+        let retired = progress.retired.fetch_add(1, Ordering::Relaxed) + 1;
+        if retired == progress.rss_at {
+            let _ = progress.peak_rss_mb.set(stats::peak_rss_mb());
+        }
+        if tf >= stop_ns && retired >= progress.rss_at {
             break;
         }
     }
@@ -213,28 +230,48 @@ fn client_phase(c: &mut ClientLoop, clock: Clock, stop_ns: u64, traced: bool) ->
     ph
 }
 
-/// Run every client for `dur_ns` on its own thread. With `traced`, this
-/// thread meanwhile samples the socket echo round trip
-/// (`SocketEnv::round_trip_ns(128, 128)`) every 10 ms on a connection of
-/// its own.
+/// What all clients saw in one phase.
+pub struct PhaseRun {
+    pub clients: Vec<ClientPhase>,
+    pub wall_ns: u64,
+    /// Socket echo round trips sampled during a traced phase.
+    pub echo_ns: Vec<u64>,
+    /// Peak resident set once the phase had retired `rss_at` requests.
+    pub peak_rss_mb: Option<f64>,
+}
+
+/// Run every client for `dur_ns` on its own thread. With `rss_at` > 0
+/// the peak resident set is read when the clients together have retired
+/// `rss_at` requests, and the phase runs until they have: the database
+/// grows with every commit, so memory is compared at a fixed amount of
+/// work, not at a fixed time. With `traced`, this thread meanwhile
+/// samples the socket echo round trip (`SocketEnv::round_trip_ns(128,
+/// 128)`) every 10 ms on a connection of its own.
 pub fn run_phase(
     loops: &mut [ClientLoop],
     addr: &NetAddr,
     dur_ns: u64,
+    rss_at: u64,
     traced: bool,
-) -> (Vec<ClientPhase>, u64, Vec<u64>) {
+) -> PhaseRun {
     let clock = Clock::new();
-    let mut echo = Vec::new();
-    let phases = std::thread::scope(|s| {
+    let progress = Progress {
+        retired: AtomicU64::new(0),
+        rss_at,
+        peak_rss_mb: OnceLock::new(),
+    };
+    let mut echo_ns = Vec::new();
+    let clients = std::thread::scope(|s| {
+        let progress = &progress;
         let joins: Vec<_> = loops
             .iter_mut()
-            .map(|c| s.spawn(move || client_phase(c, clock, dur_ns, traced)))
+            .map(|c| s.spawn(move || client_phase(c, clock, dur_ns, traced, progress)))
             .collect();
         if traced {
             let mut env =
                 SocketEnv::connect(addr, Duration::from_secs(2)).expect("echo connection");
             while clock.ns() < dur_ns {
-                echo.push(env.round_trip_ns(128, 128));
+                echo_ns.push(env.round_trip_ns(128, 128));
                 std::thread::sleep(Duration::from_millis(10));
             }
         }
@@ -243,7 +280,12 @@ pub fn run_phase(
             .map(|j| j.join().expect("client thread"))
             .collect::<Vec<_>>()
     });
-    (phases, clock.ns(), echo)
+    PhaseRun {
+        clients,
+        wall_ns: clock.ns(),
+        echo_ns,
+        peak_rss_mb: progress.peak_rss_mb.get().copied(),
+    }
 }
 
 /// Replay each shard's WAL file into a freshly loaded engine and compare

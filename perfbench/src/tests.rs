@@ -7,17 +7,19 @@ fn def(name: &str) -> Def {
         .expect("workload")
 }
 
+type Counts = (u64, u64, u64, u64, u64, BTreeMap<&'static str, u64>);
+
 /// Serve `n` requests of `def` on a fresh set-up, traced or not, and
 /// return the counts the run retired.
-fn counts(
-    def: &Def,
-    n: u64,
-    traced: bool,
-) -> (u64, u64, u64, u64, u64, BTreeMap<&'static str, u64>) {
+fn counts(def: &Def, n: u64, traced: bool) -> Counts {
+    counts_with(def, n, traced, DispatcherConfig::default().restart_delay_ns)
+}
+
+fn counts_with(def: &Def, n: u64, traced: bool, restart_delay_ns: u64) -> Counts {
     let Serving::Inproc { sessions, .. } = def.serving else {
         panic!("in-process workload")
     };
-    let app = apps::build(&def.program, def.budget, &mut Stages::default());
+    let app = apps::build(&def.program, &mut Stages::default());
     let mut engine = def.program.fresh_engine();
     let mut disp = Dispatcher::new(
         Deployment::Fixed(&app.part),
@@ -25,6 +27,7 @@ fn counts(
         DispatcherConfig {
             max_sessions: sessions,
             queue_cap: sessions * 4,
+            restart_delay_ns,
             ..DispatcherConfig::default()
         },
     );
@@ -67,14 +70,22 @@ fn tpcc_inproc_exercises_wait_die() {
     assert!(restarts > 0, "no wait-die restarts in 20k transactions");
 }
 
-/// `tpcc-modeled` is `scenarios::TpccEnv::build(2.0)` on `cfg(16)`.
+/// Arrivals are spaced by the benchmark's own step, not by the restart
+/// delay, so a change to the dispatcher's restart policy changes what the
+/// contended workload does.
 #[test]
-fn modeled_workload_is_the_tpcc_env_scenario() {
-    let d = def("tpcc-modeled");
-    let app = apps::build(&d.program, d.budget, &mut Stages::default());
+fn restart_delay_moves_tpcc_inproc() {
+    let d = def("tpcc-inproc");
+    let default = counts(&d, 3_000, false);
+    let slower = counts_with(&d, 3_000, false, 4 * inproc::ARRIVAL_STEP_NS);
+    assert_ne!(default.2, slower.2, "restart count unchanged");
+}
+
+/// The modelled testbed is the paper's: `scenarios::TpccEnv::cfg(16)`.
+#[test]
+fn modeled_testbed_is_the_tpcc_env_configuration() {
     let env = pyx_bench::scenarios::TpccEnv::build(2.0);
-    assert_eq!(app.placement.stmt_side, env.set.pyxis[0].1.stmt_side);
-    let ours = model::testbed(d.model_s);
+    let ours = model::testbed();
     let theirs = env.cfg(16);
     assert_eq!(ours.duration_s, theirs.duration_s);
     assert_eq!(ours.warmup_s, theirs.warmup_s);

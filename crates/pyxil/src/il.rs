@@ -43,7 +43,7 @@ pub struct PyxilProgram {
 }
 
 /// A deployable partition: PyxIL plus its compiled execution blocks and
-/// their register-bytecode lowering (the runtime's fast dispatch tier).
+/// their register-bytecode lowering (what the runtime executes).
 #[derive(Debug)]
 pub struct CompiledPartition {
     pub il: PyxilProgram,

@@ -21,7 +21,7 @@ use pyx_lang::MethodId;
 use pyx_pyxil::CompiledPartition;
 use pyx_runtime::cost::RtCosts;
 use pyx_runtime::monitor::{LoadMonitor, PartitionChoice};
-use pyx_runtime::session::{PreparedSites, Session, VmMode, VmScratch};
+use pyx_runtime::session::{PreparedSites, Session, VmScratch};
 use pyx_runtime::Advance;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
@@ -58,10 +58,6 @@ pub struct DispatcherConfig {
     /// transactions (lock-free, restart-free). Disabled for
     /// pre-MVCC-equivalence regression tests and before/after benches.
     pub snapshot_reads: bool,
-    /// Which VM tier sessions dispatch: the register-bytecode fast path
-    /// (default) or the reference tree-walking interpreter. Both tiers
-    /// produce identical results, state, and wire bytes.
-    pub vm: VmMode,
 }
 
 impl Default for DispatcherConfig {
@@ -74,7 +70,6 @@ impl Default for DispatcherConfig {
             wake_delay_ns: 10_000,
             costs: RtCosts::default(),
             snapshot_reads: true,
-            vm: VmMode::Bytecode,
         }
     }
 }
@@ -155,11 +150,9 @@ pub struct DispatcherStats {
     pub peak_sessions: usize,
     /// Peak admission-queue depth.
     pub peak_queue: usize,
-    /// Retired transactions that ran on the bytecode tier.
-    pub bytecode_txns: u64,
-    /// Execution blocks entered across all retired sessions (both tiers).
+    /// Execution blocks entered across all retired sessions.
     pub vm_blocks: u64,
-    /// VM instructions executed across all retired sessions (both tiers).
+    /// VM instructions executed across all retired sessions.
     pub vm_instrs: u64,
 }
 
@@ -232,7 +225,7 @@ pub struct Dispatcher<'a> {
     poll_scheduled: bool,
     switch_log: Vec<SwitchRecord>,
     stats: DispatcherStats,
-    /// Recycled bytecode-VM frame storage: retired sessions return their
+    /// Recycled VM frame storage: retired sessions return their
     /// slabs here and new sessions draw from it, so steady-state frame
     /// setup allocates nothing.
     scratch_pool: Vec<VmScratch>,
@@ -381,20 +374,12 @@ impl<'a> Dispatcher<'a> {
         restarts: u32,
     ) {
         let (part, sites, low_budget) = self.choose(req.entry);
-        let mut sess = Session::with_prepared(
-            &part.il,
-            &part.bp,
-            req.entry,
-            &req.args,
-            self.cfg.costs,
-            sites,
-        )
-        .expect("session construction");
+        let scratch = self.scratch_pool.pop().unwrap_or_default();
+        let mut sess =
+            Session::with_prepared(part, req.entry, &req.args, self.cfg.costs, sites, scratch)
+                .expect("session construction");
         if !self.cfg.snapshot_reads {
             sess.set_snapshot_reads(false);
-        }
-        if self.cfg.vm == VmMode::Bytecode {
-            sess.set_bytecode(&part.bc, self.scratch_pool.pop().unwrap_or_default());
         }
         let live = Live {
             sess,
@@ -545,21 +530,18 @@ impl<'a> Dispatcher<'a> {
                 let recycled = live.sess.take_scratch();
                 let (part, sites, low_budget) = self.choose(req.entry);
                 let mut fresh = Session::with_prepared(
-                    &part.il,
-                    &part.bp,
+                    part,
                     req.entry,
                     &req.args,
                     self.cfg.costs,
                     sites,
+                    recycled,
                 )
                 .expect("session construction");
                 if !self.cfg.snapshot_reads {
                     fresh.set_snapshot_reads(false);
                 }
                 fresh.set_txn_age(age);
-                if self.cfg.vm == VmMode::Bytecode {
-                    fresh.set_bytecode(&part.bc, recycled.unwrap_or_default());
-                }
                 let live = self.sessions[sid].as_mut().expect("live session");
                 live.sess = fresh;
                 live.low_budget = low_budget;
@@ -584,10 +566,7 @@ impl<'a> Dispatcher<'a> {
         }
         self.stats.vm_blocks += live.sess.stats.blocks_executed;
         self.stats.vm_instrs += live.sess.stats.instrs_executed;
-        if let Some(scratch) = live.sess.take_scratch() {
-            self.stats.bytecode_txns += 1;
-            self.scratch_pool.push(scratch);
-        }
+        self.scratch_pool.push(live.sess.take_scratch());
         let done = TxnDone {
             tag: live.tag,
             entry: live.req.entry,

@@ -44,16 +44,14 @@
 //!   Each worker owns a full dispatcher, so the per-transaction hot path
 //!   is exactly the single-threaded one: no locks, no atomics beyond
 //!   `Arc` refcounts already present in engine row handles.
-//! * **Cross-shard transactions (2PC, the default):** a request with
-//!   `route == None` goes to a coordinator pool that enlists only the
-//!   shards its statements touch, executes on the workers over a
-//!   remote-op protocol concurrently with single-shard traffic, then
-//!   runs prepare/commit across just those participants. Coordinator
-//!   ages come from one shared counter, extending wait-die across
-//!   shards. The original quiesce-all lane (lock every shard in index
-//!   order, run serially) is kept behind
-//!   [`shard::CrossShardMode::Quiesce`] as the differential oracle. See
-//!   [`shard`] for the protocol.
+//! * **Cross-shard transactions (2PC):** a request with `route == None`
+//!   goes to a coordinator pool that enlists only the shards its
+//!   statements touch, executes on the workers over a remote-op protocol
+//!   concurrently with single-shard traffic, then runs prepare/commit
+//!   across just those participants. Coordinator ages come from one
+//!   shared counter, extending wait-die across shards. A single
+//!   [`Dispatcher`] over one unsharded engine is the reference the
+//!   sharded tier is tested against. See [`shard`] for the protocol.
 //!
 //! # Network failure model (socket serving)
 //!
@@ -110,9 +108,8 @@ pub use net::{
     Fault, FaultScript, FrameConn, Listener, NetAddr, NetClient, NetClientCfg, NetServer,
     NetServerCfg, NetServerHandle, SocketEnv, Stream,
 };
-pub use pyx_runtime::{VmMode, VmScratch};
+pub use pyx_runtime::VmScratch;
 pub use shard::{
-    load_row_sharded, CrossShardMode, HealFailure, ShardRecovery, ShardedConfig, ShardedReport,
-    ShardedServer,
+    load_row_sharded, HealFailure, ShardRecovery, ShardedConfig, ShardedReport, ShardedServer,
 };
 pub use workload::{FixedWorkload, TxnRequest, Workload};

@@ -20,10 +20,11 @@
 //! * **What stays thread-local:** everything a running transaction
 //!   touches — `Session`s, their `Rc`-shared [`PreparedSites`], session
 //!   heaps, the dispatcher's scratch pools. No runtime `Rc` ever crosses
-//!   a thread boundary. Coordinator threads build their *own*
-//!   `PreparedSites` at startup.
+//!   a thread boundary. [`ShardedServer::new`] warms one cross-shard
+//!   statement table and site map before it returns; each coordinator
+//!   thread gets a copy and wraps the site map in its own `Rc`.
 //!
-//! # Cross-shard transactions: two-phase commit (the default lane)
+//! # Cross-shard transactions: two-phase commit
 //!
 //! A cross-shard request (`route == None`) is handed to a small pool of
 //! **coordinator threads**. Each coordinator runs the session itself and
@@ -56,11 +57,9 @@
 //!   commit to the participants; each worker commits the branch and
 //!   syncs **its own shard's log** before acknowledging, so only
 //!   *participating* shards pay an fsync. A post-prepare commit failure
-//!   (a durability fault between prepare and commit) can leave a
-//!   partial commit across shards — the same window the quiesce lane's
-//!   fan-out commit always had; in-memory presumed-abort 2PC without
-//!   durable prepare records cannot close it. The error is reported
-//!   loudly on the transaction.
+//!   on a live participant (a durability fault between prepare and
+//!   commit) can leave a partial commit across shards; the error is
+//!   reported loudly on the transaction.
 //! * **Distributed wait-die** — coordinators draw transaction ages from
 //!   one shared counter, so every shard's `(age, txn)` lock order agrees
 //!   on every pair of distributed transactions. Along any would-be wait
@@ -79,24 +78,17 @@
 //! static property). Single-shard read-only traffic keeps its lock-free
 //! MVCC snapshots — each such transaction touches one engine only.
 //!
-//! # Quiesce protocol (the differential oracle, `CrossShardMode::Quiesce`)
+//! # Statement routing
 //!
-//! The original serialized lane is kept behind a flag as the correctness
-//! oracle for the 2PC path. Each shard engine lives in a `Mutex` with a
-//! strict ownership discipline: a worker holds its shard's lock while it
-//! has any admitted work and releases it **only when its dispatcher is
-//! fully idle**. A cross-shard request then quiesces the cluster by
-//! locking every shard in index order, runs the transaction inline
-//! through [`LaneEngine`] (same statement routing as the coordinator),
-//! and syncs the logs of the shards it actually touched. One lane
-//! transaction runs at a time.
-//!
-//! Observational equivalence with a single engine holds per statement
-//! on both lanes, with one SQL-sanctioned exception: an *unordered*
-//! cross-shard scatter read returns its rows in shard-concatenation
-//! order rather than a single engine's scan order (row order without
-//! ORDER BY is unspecified; ordered scans are never scattered — see
-//! `LaneEngine::exec_scatter`).
+//! The coordinator routes each statement by its [`StmtRoute`]: to the
+//! shard owning its rows, to every shard for a replicated-table write, to
+//! shard 0 for a replicated read, or to every shard for a scatter read
+//! whose results are merged. Observational equivalence with a single
+//! engine holds per statement, with one SQL-sanctioned exception: an
+//! *unordered* cross-shard scatter read returns its rows in
+//! shard-concatenation order rather than a single engine's scan order
+//! (row order without ORDER BY is unspecified; ordered scans are never
+//! scattered — see `Coord::exec_scatter`).
 //!
 //! # Log-shipping read replicas
 //!
@@ -193,42 +185,31 @@ use pyx_db::{
 };
 use pyx_lang::MethodId;
 use pyx_pyxil::CompiledPartition;
-use pyx_runtime::session::{run_to_completion, Advance, PreparedSites, Session, VmMode, VmScratch};
+use pyx_runtime::session::{Advance, PreparedSites, Session, VmScratch};
 use std::collections::hash_map::Entry as HashEntry;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// How cross-shard (`route == None`) transactions execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrossShardMode {
-    /// Per-statement participant enlistment + two-phase commit through a
-    /// coordinator pool: cross-shard transactions overlap with each
-    /// other and with single-shard traffic. The default.
-    TwoPhase,
-    /// The serialized quiesce-all lane: lock every shard, run inline.
-    /// Kept as the differential oracle for the 2PC path.
-    Quiesce,
-}
-
 /// Sharded-server tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedConfig {
     /// Number of engine shards / worker threads.
     pub shards: usize,
-    /// Per-worker dispatcher tuning (sessions, queue, costs, VM tier).
+    /// Per-worker dispatcher tuning (sessions, queue, costs, snapshot
+    /// reads).
     pub dispatcher: DispatcherConfig,
     /// Bound of each worker's request channel. A full channel rejects the
     /// submit (backpressure), mirroring the dispatcher's own queue cap.
     pub channel_cap: usize,
-    /// Cross-shard execution mode (see [`CrossShardMode`]).
-    pub cross_shard: CrossShardMode,
-    /// Coordinator threads for the 2PC lane — the number of cross-shard
-    /// transactions in flight at once. Ignored under `Quiesce`.
+    /// Coordinator threads running cross-shard (`route == None`)
+    /// transactions through two-phase commit — the number of cross-shard
+    /// transactions in flight at once (at least one is spawned).
     pub coordinators: usize,
     /// Bounded-staleness admission for read replicas: a read-only
     /// request routes to a replica only when the primary's durable
@@ -246,7 +227,6 @@ impl Default for ShardedConfig {
             shards: 2,
             dispatcher: DispatcherConfig::default(),
             channel_cap: 4096,
-            cross_shard: CrossShardMode::TwoPhase,
             coordinators: 2,
             replica_lag_limit: 1024,
         }
@@ -259,7 +239,7 @@ impl Default for ShardedConfig {
 pub struct ShardedReport {
     pub engines: Vec<Engine>,
     pub dispatchers: Vec<DispatcherStats>,
-    /// Cross-shard transactions executed (either lane).
+    /// Cross-shard transactions executed.
     pub multi_txns: u64,
     /// Sum of participant-shard counts over *committed* cross-shard
     /// transactions (`multi_participants / commits` = mean fan-out; the
@@ -464,9 +444,9 @@ struct CoordStats {
     participant_deaths: u64,
 }
 
-/// Shard index coordinators and the quiesce lane use on the results
-/// channel (their transactions are never lost to a *worker* death).
-const LANE: usize = usize::MAX;
+/// Shard index coordinators use on the results channel (their
+/// transactions are never lost to a *worker* death).
+const COORD: usize = usize::MAX;
 
 /// Results-channel index base for replica workers: replica `i` reports
 /// as `REPLICA_BASE + i`, keeping replica outcomes distinguishable from
@@ -547,7 +527,7 @@ struct ReplicaSlot {
     dead: bool,
 }
 
-/// High bit marking a virtual (coordinator/lane) transaction id; shards
+/// High bit marking a virtual (coordinator) transaction id; shards
 /// allocate their own local ids for branches. A coordinator folds its
 /// global age into the low bits so a restarted session carries the age
 /// back through [`Database::begin_aged`].
@@ -616,15 +596,11 @@ pub struct ShardedServer {
     /// Results ready to deliver ahead of the channel (drained while
     /// reaping a dead worker, plus the synthesized error results).
     ready: VecDeque<TxnDone>,
-    // -- 2PC lane --
-    job_tx: Option<SyncSender<CoordJob>>,
+    // -- cross-shard coordinator pool --
+    job_tx: SyncSender<CoordJob>,
     coord_handles: Vec<JoinHandle<CoordStats>>,
     hold_next: Option<HoldHook>,
     hold_next_prepare: Option<HoldHook>,
-    // -- quiesce lane (oracle mode) --
-    lane: LaneState,
-    lane_sites: Option<PreparedSites>,
-    lane_scratch: Option<VmScratch>,
     multi_txns: u64,
     multi_participants: u64,
 }
@@ -633,8 +609,10 @@ impl ShardedServer {
     /// Spawn W workers, each owning one pre-loaded engine shard plus its
     /// own dispatcher over the shared compiled partition. `engines` must
     /// all carry the same schema, with rows already routed by
-    /// [`pyx_db::TableDef::shard_key`] (see `load_row_sharded`). Under
-    /// [`CrossShardMode::TwoPhase`] a coordinator pool is spawned too.
+    /// [`pyx_db::TableDef::shard_key`] (see `load_row_sharded`). A
+    /// coordinator pool for cross-shard transactions is spawned too; its
+    /// statement table and prepared-site map are warmed here, over the
+    /// live workers, before this returns.
     pub fn new(
         part: Arc<CompiledPartition>,
         engines: Vec<Engine>,
@@ -642,30 +620,10 @@ impl ShardedServer {
     ) -> ShardedServer {
         assert_eq!(engines.len(), cfg.shards, "one engine per shard");
         assert!(cfg.shards > 0, "at least one shard");
-        let two_phase = cfg.cross_shard == CrossShardMode::TwoPhase;
         let engines: Vec<Arc<Mutex<Engine>>> = engines
             .into_iter()
             .map(|e| Arc::new(Mutex::new(e)))
             .collect();
-        // Quiesce mode pre-warms the lane's prepared sites before any
-        // worker exists: every engine lock is uncontended here, so the
-        // first cross-shard request pays no prepare storm. (2PC
-        // coordinators warm their own site tables over the remote-op
-        // protocol at startup instead.)
-        let mut lane = LaneState::default();
-        let lane_sites = if two_phase {
-            None
-        } else {
-            let mut guards: Vec<MutexGuard<'_, Engine>> = engines
-                .iter()
-                .map(|e| e.lock().expect("fresh engine mutex"))
-                .collect();
-            let mut le = LaneEngine {
-                shards: &mut guards,
-                state: &mut lane,
-            };
-            Some(Session::prepare_sites(&part.bp, &mut le))
-        };
         let (done_tx, done_rx) = mpsc::channel();
         let mut txs = Vec::with_capacity(cfg.shards);
         let mut remote_txs = Vec::with_capacity(cfg.shards);
@@ -701,30 +659,40 @@ impl ShardedServer {
                 .collect(),
         );
         let decisions: Decisions = Arc::new(Mutex::new(HashMap::new()));
-        let (job_tx, coord_handles) = if two_phase {
-            let (jtx, jrx) = mpsc::sync_channel(cfg.channel_cap);
-            let jrx = Arc::new(Mutex::new(jrx));
-            let ages = Arc::new(AtomicU64::new(1));
-            let n = cfg.coordinators.max(1);
-            let mut coords = Vec::with_capacity(n);
-            for c in 0..n {
-                let part = Arc::clone(&part);
-                let dcfg = cfg.dispatcher;
-                let jobs = Arc::clone(&jrx);
-                let links = Arc::clone(&links);
-                let done = done_tx.clone();
-                let ages = Arc::clone(&ages);
-                let decisions = Arc::clone(&decisions);
-                let h = std::thread::Builder::new()
-                    .name(format!("pyx-coord-{c}"))
-                    .spawn(move || coordinator(part, dcfg, jobs, links, done, ages, decisions))
-                    .expect("spawn coordinator");
-                coords.push(h);
-            }
-            (Some(jtx), coords)
-        } else {
-            (None, Vec::new())
+        let ages = Arc::new(AtomicU64::new(1));
+        let new_coord = |table: StmtTable| {
+            Coord::new(
+                Arc::clone(&links),
+                Arc::clone(&ages),
+                Arc::clone(&decisions),
+                table,
+            )
         };
+        // Warm the cross-shard statement table and site map once, here,
+        // while every worker is alive, so every coordinator starts with
+        // the full table. A site whose prepare failed would be dropped,
+        // and its statement later prepared ad hoc on every shard —
+        // failing on a dead shard even for transactions that never
+        // touch it.
+        let mut warm = new_coord(StmtTable::default());
+        let sites = Rc::unwrap_or_clone(Session::prepare_sites(&part.bp, &mut warm));
+        let (job_tx, jrx) = mpsc::sync_channel(cfg.channel_cap);
+        let jrx = Arc::new(Mutex::new(jrx));
+        let n = cfg.coordinators.max(1);
+        let mut coord_handles = Vec::with_capacity(n);
+        for c in 0..n {
+            let part = Arc::clone(&part);
+            let dcfg = cfg.dispatcher;
+            let jobs = Arc::clone(&jrx);
+            let done = done_tx.clone();
+            let coord = new_coord(warm.table.clone());
+            let sites = sites.clone();
+            let h = std::thread::Builder::new()
+                .name(format!("pyx-coord-{c}"))
+                .spawn(move || coordinator(part, dcfg, jobs, done, coord, sites))
+                .expect("spawn coordinator");
+            coord_handles.push(h);
+        }
         ShardedServer {
             engines,
             txs,
@@ -757,9 +725,6 @@ impl ShardedServer {
             coord_handles,
             hold_next: None,
             hold_next_prepare: None,
-            lane,
-            lane_sites,
-            lane_scratch: None,
             multi_txns: 0,
             multi_participants: 0,
         }
@@ -1047,9 +1012,9 @@ impl ShardedServer {
         }
     }
 
-    /// Test hook (2PC lane): pause the *next* submitted cross-shard
-    /// transaction between its prepare and commit phases. The returned
-    /// receiver yields once the transaction is parked there — prepared
+    /// Test hook: pause the *next* submitted cross-shard transaction
+    /// between its prepare and commit phases. The returned receiver
+    /// yields once the transaction is parked there — prepared
     /// on every participant, locks held, outcome pending — and it
     /// resumes when the returned sender fires (or drops). Used to prove
     /// that cross-shard transactions with disjoint shard sets commit
@@ -1065,10 +1030,9 @@ impl ShardedServer {
         (held_rx, release_tx)
     }
 
-    /// Test hook (2PC lane): pause the *next* submitted cross-shard
-    /// transaction **mid-vote** — right after its first participant
-    /// acknowledged a durable prepare, before the remaining prepare
-    /// rpcs. This is the window where a prepared participant's death
+    /// Test hook: pause the *next* submitted cross-shard transaction
+    /// **mid-vote** — right after its first participant acknowledged a
+    /// durable prepare, before the remaining prepare rpcs. This is the window where a prepared participant's death
     /// races the coordinator's decision: the supervisor must presume
     /// abort and veto the still-voting coordinator (see
     /// [`GtidState::Voting`]). Same park/release contract as
@@ -1114,9 +1078,7 @@ impl ShardedServer {
     /// over its bounded channel ([`Admit::Rejected`] on a full channel —
     /// backpressure, retry after draining; [`Admit::Unavailable`] if that
     /// shard's worker has died). `route: None` is a cross-shard
-    /// transaction: under 2PC it queues to the coordinator pool; under
-    /// [`CrossShardMode::Quiesce`] it runs inline on the serialized
-    /// lane, quiescing all shards first.
+    /// transaction: it queues to the coordinator pool.
     pub fn submit(&mut self, req: TxnRequest, tag: u64) -> Admit {
         match req.route {
             Some(k) => {
@@ -1135,33 +1097,23 @@ impl ShardedServer {
                 }
                 self.submit_primary(s, req, tag)
             }
-            None => match &self.job_tx {
-                Some(jtx) => {
-                    let hold = self.hold_next.take();
-                    let hold_prepare = self.hold_next_prepare.take();
-                    match jtx.try_send(CoordJob {
-                        req,
-                        tag,
-                        hold,
-                        hold_prepare,
-                    }) {
-                        Ok(()) => {
-                            self.in_flight += 1;
-                            Admit::Started
-                        }
-                        Err(TrySendError::Full(_)) => Admit::Rejected,
-                        Err(TrySendError::Disconnected(_)) => Admit::Unavailable,
+            None => {
+                let hold = self.hold_next.take();
+                let hold_prepare = self.hold_next_prepare.take();
+                match self.job_tx.try_send(CoordJob {
+                    req,
+                    tag,
+                    hold,
+                    hold_prepare,
+                }) {
+                    Ok(()) => {
+                        self.in_flight += 1;
+                        Admit::Started
                     }
+                    Err(TrySendError::Full(_)) => Admit::Rejected,
+                    Err(TrySendError::Disconnected(_)) => Admit::Unavailable,
                 }
-                None => {
-                    self.hold_next = None; // hooks are a 2PC-lane concept
-                    self.hold_next_prepare = None;
-                    let done = self.run_multi(req, tag);
-                    self.done_tx.send((LANE, done)).expect("done channel open");
-                    self.in_flight += 1;
-                    Admit::Started
-                }
-            },
+            }
         }
     }
 
@@ -1236,12 +1188,13 @@ impl ShardedServer {
     }
 
     /// Block until the next transaction retires (`None` when nothing is
-    /// in flight). The server itself holds a `done_tx` clone for the
-    /// lane, so a crashed worker can never disconnect the channel — poll
-    /// worker liveness on a timeout instead. A dead worker's lost
-    /// transactions come back as **error results** (outcome unknown: the
-    /// transaction may or may not have committed before the crash) and
-    /// its shard is marked unavailable; the server itself keeps serving.
+    /// in flight). The server itself holds a `done_tx` clone (replica
+    /// workers are spawned from it), so a crashed worker can never
+    /// disconnect the channel — poll worker liveness on a timeout
+    /// instead. A dead worker's lost transactions come back as **error
+    /// results** (outcome unknown: the transaction may or may not have
+    /// committed before the crash) and its shard is marked unavailable;
+    /// the server itself keeps serving.
     /// (A worker death mid-2PC is reported by the coordinator itself —
     /// it observes the closed reply channel and aborts the survivors.)
     pub fn recv_done(&mut self) -> Option<TxnDone> {
@@ -1271,9 +1224,9 @@ impl ShardedServer {
     }
 
     /// Remove a retired result's outstanding-request entry, whichever
-    /// tier (`s`) reported it: primary shard, replica, or the lane.
+    /// tier (`s`) reported it: primary shard, replica, or a coordinator.
     fn unregister(&mut self, s: usize, tag: u64) {
-        if s == LANE {
+        if s == COORD {
             return;
         }
         if s >= REPLICA_BASE {
@@ -1641,7 +1594,7 @@ impl ShardedServer {
     /// recovery replays).
     pub fn shutdown(mut self) -> (Vec<TxnDone>, ShardedReport) {
         let rest = self.drain();
-        self.job_tx = None; // coordinators drain their queue and exit
+        drop(self.job_tx); // coordinators drain their queue and exit
         let mut participant_deaths = 0u64;
         for h in self.coord_handles.drain(..) {
             let s = h.join().unwrap_or_default();
@@ -1701,99 +1654,6 @@ impl ShardedServer {
                 participant_deaths,
             },
         )
-    }
-
-    /// Execute one cross-shard transaction on the serialized lane:
-    /// quiesce (lock) every shard, run the session against the
-    /// statement-routing [`LaneEngine`], release. See module docs.
-    fn run_multi(&mut self, req: TxnRequest, tag: u64) -> TxnDone {
-        self.multi_txns += 1;
-        // A dead worker's mutex may be poisoned; the lane still serves —
-        // recover the guard (commits on a wedged shard will surface as
-        // lock conflicts or durability errors, not a server panic).
-        let mut guards: Vec<MutexGuard<'_, Engine>> = self
-            .engines
-            .iter()
-            .map(|e| e.lock().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        let mut lane = LaneEngine {
-            shards: &mut guards,
-            state: &mut self.lane,
-        };
-        let sites = self
-            .lane_sites
-            .get_or_insert_with(|| Session::prepare_sites(&self.part.bp, &mut lane))
-            .clone();
-        let dcfg = &self.cfg.dispatcher;
-        let mut error = None;
-        let mut rolled_back = false;
-        let mut read_only = false;
-        let mut result = None;
-        match Session::with_prepared(
-            &self.part.il,
-            &self.part.bp,
-            req.entry,
-            &req.args,
-            dcfg.costs,
-            sites,
-        ) {
-            Ok(mut sess) => {
-                if !dcfg.snapshot_reads {
-                    sess.set_snapshot_reads(false);
-                }
-                if dcfg.vm == VmMode::Bytecode {
-                    sess.set_bytecode(&self.part.bc, self.lane_scratch.take().unwrap_or_default());
-                }
-                if let Err(e) = run_to_completion(&mut sess, &mut lane, 100_000_000) {
-                    error = Some(e.to_string());
-                }
-                rolled_back = sess.rolled_back;
-                read_only = sess.is_read_only();
-                result = sess.result.clone();
-                self.lane_scratch = sess.take_scratch();
-            }
-            Err(e) => error = Some(e.to_string()),
-        }
-        // A session that died without reaching commit/abort (e.g. step
-        // budget exhaustion) must not leak sub-transactions — they hold
-        // row locks that would wedge the workers.
-        if self.lane.txns.iter().any(Option::is_some) {
-            let mut lane = LaneEngine {
-                shards: &mut guards,
-                state: &mut self.lane,
-            };
-            let _ = lane.close_all(|e, t| e.abort(t));
-        }
-        let participants = self.lane.last_closed.len() as u32;
-        // Acknowledgement point: a cross-shard commit is durable only
-        // once every shard it actually touched has flushed its log —
-        // untouched shards have nothing of this transaction to flush.
-        if !read_only && !rolled_back && error.is_none() {
-            for &s in &self.lane.last_closed {
-                if let Err(e) = guards[s].wal_sync() {
-                    error = Some(e.to_string());
-                    break;
-                }
-            }
-            if error.is_none() {
-                self.multi_participants += participants as u64;
-            }
-        }
-        TxnDone {
-            tag,
-            entry: req.entry,
-            label: req.label,
-            submitted_ns: 0,
-            started_ns: 0,
-            finished_ns: 0,
-            low_budget: false,
-            rolled_back,
-            read_only,
-            restarts: 0,
-            participants,
-            result,
-            error,
-        }
     }
 }
 
@@ -1940,8 +1800,7 @@ fn remote_pump(
     parked: &mut Vec<RemoteOp>,
 ) -> bool {
     let mut progress = false;
-    // Empty and Disconnected (no coordinators — quiesce mode, or
-    // shutdown) both mean "nothing to serve".
+    // Empty and Disconnected (shutdown) both mean "nothing to serve".
     while let Ok(op) = rrx.try_recv() {
         progress |= serve_remote(engine, disp, op, parked);
     }
@@ -1957,11 +1816,10 @@ fn remote_pump(
 /// One shard worker: pull requests while the dispatcher has admission
 /// room, serve cross-shard remote ops between local events, drive the
 /// event loop, ship retirements to the results channel (batched through
-/// [`flush_dones`], the group-commit acknowledgement point). The engine
-/// lock is held exactly while the dispatcher has work and released when
-/// fully idle — that release is the quiesce point the serialized
-/// multi-partition lane synchronizes on (2PC coordinators never take
-/// engine locks; they go through the remote-op channel).
+/// [`flush_dones`], the group-commit acknowledgement point). The worker
+/// holds its engine's lock for its whole life: coordinators never take
+/// engine locks (they go through the remote-op channel), and the
+/// supervisor locks only a dead worker's engine.
 #[allow(clippy::too_many_arguments)]
 fn worker(
     shard: usize,
@@ -2036,31 +1894,23 @@ fn worker(
                 if remote_pump(&mut guard, &mut disp, &rrx, &mut parked) {
                     continue;
                 }
-                // Fully drained: release the shard (lane quiesce point)
-                // and sleep until the next message arrives. Parked ops
-                // are safe to sleep on: the dispatcher is idle, so their
-                // blocker is a remote branch whose coordinator will send
-                // the releasing commit/abort — with a Wake nudge.
-                drop(guard);
+                // Fully drained: sleep until the next message arrives.
+                // Parked ops are safe to sleep on: the dispatcher is
+                // idle, so their blocker is a remote branch whose
+                // coordinator will send the releasing commit/abort —
+                // with a Wake nudge.
                 match rx.recv() {
                     Ok(Msg::Submit { req, tag }) => {
-                        guard = engine.lock().expect("engine mutex poisoned");
                         disp.submit(0, req, tag);
                     }
-                    Ok(Msg::Wake) => {
-                        guard = engine.lock().expect("engine mutex poisoned");
-                    }
+                    Ok(Msg::Wake) => {}
                     Ok(Msg::Crash { after_done }) => {
                         crash_after = Some(after_done);
-                        guard = engine.lock().expect("engine mutex poisoned");
                         if after_done == 0 {
                             return disp.stats();
                         }
                     }
-                    Ok(Msg::Shutdown) | Err(_) => {
-                        guard = engine.lock().expect("engine mutex poisoned");
-                        open = false;
-                    }
+                    Ok(Msg::Shutdown) | Err(_) => open = false,
                 }
             }
         }
@@ -2197,11 +2047,12 @@ pub fn load_row_sharded(engines: &mut [Engine], table: &str, row: Vec<Scalar>) {
     }
 }
 
-// ---- shared statement-routing state (coordinator + quiesce lane) ----
+// ---- the 2PC coordinator ----
 
 /// One cross-shard statement: its prepared handle on every shard and the
 /// (lazily resolved) shard route.
-struct LaneStmt {
+#[derive(Clone)]
+struct CoordStmt {
     per_shard: Vec<PreparedId>,
     route: Option<StmtRoute>,
 }
@@ -2215,17 +2066,17 @@ struct LaneStmt {
 /// plans. (Constant-SQL sites registered by `Session::prepare_sites`
 /// via [`Database::prepare`] are never evicted — sessions hold their
 /// ids across transactions.)
-const LANE_ADHOC_CAP: usize = 256;
+const ADHOC_CAP: usize = 256;
 
-/// The cross-shard statement table: statements indexed by lane/
-/// coordinator [`PreparedId`]s, deduped by SQL text, with FIFO eviction
-/// for the ad-hoc entries. Shared by the quiesce lane (one instance) and
-/// each 2PC coordinator (one instance per coordinator thread).
-#[derive(Default)]
+/// The cross-shard statement table: statements indexed by coordinator
+/// [`PreparedId`]s, deduped by SQL text, with FIFO eviction for the
+/// ad-hoc entries. Warmed once in [`ShardedServer::new`]; each
+/// coordinator thread then owns a clone.
+#[derive(Default, Clone)]
 struct StmtTable {
-    stmts: Vec<Option<LaneStmt>>,
+    stmts: Vec<Option<CoordStmt>>,
     by_sql: HashMap<String, PreparedId>,
-    /// FIFO of ad-hoc (evictable) statements; see [`LANE_ADHOC_CAP`].
+    /// FIFO of ad-hoc (evictable) statements; see [`ADHOC_CAP`].
     adhoc_order: VecDeque<(String, PreparedId)>,
     /// Evicted statement slots awaiting reuse.
     free_slots: Vec<PreparedId>,
@@ -2236,7 +2087,7 @@ impl StmtTable {
         self.by_sql.get(sql).copied()
     }
 
-    fn stmt(&self, id: PreparedId) -> &LaneStmt {
+    fn stmt(&self, id: PreparedId) -> &CoordStmt {
         self.stmts[id.0 as usize]
             .as_ref()
             .expect("live cross-shard statement")
@@ -2251,7 +2102,7 @@ impl StmtTable {
 
     /// Register a statement, taking a recycled slot if one is free.
     /// `adhoc` entries join the FIFO and are evicted over the cap.
-    fn insert(&mut self, sql: &str, stmt: LaneStmt, adhoc: bool) -> PreparedId {
+    fn insert(&mut self, sql: &str, stmt: CoordStmt, adhoc: bool) -> PreparedId {
         let id = match self.free_slots.pop() {
             Some(id) => {
                 self.stmts[id.0 as usize] = Some(stmt);
@@ -2273,7 +2124,7 @@ impl StmtTable {
 
     /// FIFO-evict the oldest ad-hoc statement once over the cap.
     fn evict_adhoc(&mut self) {
-        if self.adhoc_order.len() <= LANE_ADHOC_CAP {
+        if self.adhoc_order.len() <= ADHOC_CAP {
             return;
         }
         if let Some((sql, id)) = self.adhoc_order.pop_front() {
@@ -2284,15 +2135,10 @@ impl StmtTable {
     }
 }
 
-// ---- the 2PC coordinator ----
-
 /// Coordinator-side engine façade: a [`Database`] whose statements fan
 /// out to shard workers over the remote-op protocol. One per coordinator
 /// thread; holds that coordinator's statement table, the open branches
-/// of its (single) in-flight transaction, and its 2PC counters. Route
-/// dispatch is identical to [`LaneEngine`]'s — same statements land on
-/// the same shards, same errors for unroutable shapes — which is what
-/// makes the quiesce lane a differential oracle for this path.
+/// of its (single) in-flight transaction, and its 2PC counters.
 struct Coord {
     /// Shared link table: the *current* channel endpoints per shard
     /// (rewritten by the supervisor on failover — see [`ShardLink`]).
@@ -2314,17 +2160,22 @@ struct Coord {
     last_participants: u32,
     hold: Option<HoldHook>,
     hold_prepare: Option<HoldHook>,
-    scratch: Option<VmScratch>,
+    scratch: VmScratch,
     stats: CoordStats,
 }
 
 impl Coord {
-    fn new(links: ShardLinks, ages: Arc<AtomicU64>, decisions: Decisions) -> Coord {
+    fn new(
+        links: ShardLinks,
+        ages: Arc<AtomicU64>,
+        decisions: Decisions,
+        table: StmtTable,
+    ) -> Coord {
         let n = links.len();
         Coord {
             links,
             decisions,
-            table: StmtTable::default(),
+            table,
             branches: vec![None; n],
             age: 0,
             ages,
@@ -2332,7 +2183,7 @@ impl Coord {
             last_participants: 0,
             hold: None,
             hold_prepare: None,
-            scratch: None,
+            scratch: VmScratch::default(),
             stats: CoordStats::default(),
         }
     }
@@ -2444,7 +2295,7 @@ impl Coord {
         }
         Ok(self.table.insert(
             sql,
-            LaneStmt {
+            CoordStmt {
                 per_shard,
                 route: None,
             },
@@ -2452,8 +2303,19 @@ impl Coord {
         ))
     }
 
-    /// Run on every shard and merge (same contract as
-    /// `LaneEngine::exec_scatter`: shard-concatenation row order).
+    /// Run on every shard and merge: result rows concatenate in shard
+    /// order, affected counts and virtual costs sum.
+    ///
+    /// Row ORDER contract: a statement without ORDER BY has unspecified
+    /// row order in SQL, and that is exactly what a scatter read
+    /// delivers — shard-concatenation order, which differs from a single
+    /// engine's primary-key scan order (and cannot be reconstructed
+    /// after projection may have dropped the key columns). Programs that
+    /// depend on the order of an unordered multi-shard scan are relying
+    /// on unspecified behavior; order-sensitive scans must add ORDER BY,
+    /// which the router then refuses to scatter
+    /// ([`StmtRoute::Scatter`]`::mergeable == false`) rather than merge
+    /// wrongly.
     fn exec_scatter(&mut self, id: PreparedId, params: &[Scalar]) -> Result<QueryResult, DbError> {
         let mut merged: Option<QueryResult> = None;
         for s in 0..self.shards() {
@@ -2713,7 +2575,7 @@ impl Database for Coord {
     ) -> Result<QueryResult, DbError> {
         // Dynamic SQL funnels through the prepared path — same resolver,
         // same routing, identical results by construction — with its
-        // entries FIFO-capped (see [`LANE_ADHOC_CAP`]).
+        // entries FIFO-capped (see [`ADHOC_CAP`]).
         let id = self.prepare_inner(sql, true)?;
         Database::execute_prepared(self, txn, id, params)
     }
@@ -2787,12 +2649,12 @@ fn run_job(
     let mut age: Option<u64> = None;
     loop {
         let mut sess = match Session::with_prepared(
-            &part.il,
-            &part.bp,
+            part,
             req.entry,
             &req.args,
             dcfg.costs,
             sites.clone(),
+            std::mem::take(&mut coord.scratch),
         ) {
             Ok(s) => s,
             Err(e) => {
@@ -2804,9 +2666,6 @@ fn run_job(
         // different instants are not one consistent cut (module docs).
         sess.set_snapshot_reads(false);
         sess.set_txn_age(age);
-        if dcfg.vm == VmMode::Bytecode {
-            sess.set_bytecode(&part.bc, coord.scratch.take().unwrap_or_default());
-        }
         let mut deadlocked = false;
         let mut steps = 0u64;
         loop {
@@ -2871,22 +2730,20 @@ fn run_job(
     }
 }
 
-/// One coordinator thread: warm a private statement/site table over the
-/// remote-op protocol, then serve cross-shard jobs from the shared queue
-/// until the server drops it. A panic inside a job is contained: the
-/// job's branches are aborted and the transaction reports an error
+/// One coordinator thread: serve cross-shard jobs from the shared queue
+/// until the server drops it, with the statement table and site map
+/// warmed in [`ShardedServer::new`]. A panic inside a job is contained:
+/// the job's branches are aborted and the transaction reports an error
 /// result instead of wedging the server.
 fn coordinator(
     part: Arc<CompiledPartition>,
     dcfg: DispatcherConfig,
     jobs: Arc<Mutex<Receiver<CoordJob>>>,
-    links: ShardLinks,
     done: Sender<(usize, TxnDone)>,
-    ages: Arc<AtomicU64>,
-    decisions: Decisions,
+    mut coord: Coord,
+    sites: HashMap<(u32, u32), (PreparedId, u64)>,
 ) -> CoordStats {
-    let mut coord = Coord::new(links, ages, decisions);
-    let sites = Session::prepare_sites(&part.bp, &mut coord);
+    let sites: PreparedSites = Rc::new(sites);
     loop {
         // Holding the queue lock across `recv` serializes job *pickup*
         // (one coordinator waits at a time); execution still overlaps.
@@ -2922,258 +2779,7 @@ fn coordinator(
         });
         coord.hold = None;
         coord.hold_prepare = None;
-        let _ = done.send((LANE, d));
+        let _ = done.send((COORD, d));
     }
     coord.stats
-}
-
-// ---- the serialized quiesce lane (differential oracle) ----
-
-/// Persistent lane state: the statement table and the per-shard
-/// sub-transactions of the one in-flight lane transaction.
-#[derive(Default)]
-struct LaneState {
-    table: StmtTable,
-    /// Open sub-transaction per shard (one lane txn at a time).
-    txns: Vec<Option<TxnId>>,
-    read_only: bool,
-    next_virtual: u64,
-    /// Shards the most recent `close_all` closed — the participant set
-    /// of the last lane transaction (drives the participant-only WAL
-    /// sync and the reported participant count).
-    last_closed: Vec<usize>,
-}
-
-/// [`Database`] over all quiesced shards: statements route to the shard
-/// owning their rows ([`StmtRoute`]), replicated writes fan out to every
-/// replica, scatter statements run everywhere and merge, and
-/// commit/abort close every sub-transaction the lane transaction opened.
-struct LaneEngine<'g, 'e> {
-    shards: &'g mut [MutexGuard<'e, Engine>],
-    state: &'g mut LaneState,
-}
-
-impl LaneEngine<'_, '_> {
-    fn begin_sub(&mut self, s: usize) -> TxnId {
-        if self.state.txns.len() != self.shards.len() {
-            self.state.txns.resize(self.shards.len(), None);
-        }
-        match self.state.txns[s] {
-            Some(t) => t,
-            None => {
-                let t = if self.state.read_only {
-                    self.shards[s].begin_read_only()
-                } else {
-                    self.shards[s].begin()
-                };
-                self.state.txns[s] = Some(t);
-                t
-            }
-        }
-    }
-
-    fn route_of(&mut self, id: PreparedId) -> Result<StmtRoute, DbError> {
-        if let Some(r) = &self.state.table.stmt(id).route {
-            return Ok(r.clone());
-        }
-        let pid0 = self.state.table.stmt(id).per_shard[0];
-        let r = self.shards[0].prepared_route(pid0)?;
-        self.state.table.set_route(id, r.clone());
-        Ok(r)
-    }
-
-    fn exec_on(
-        &mut self,
-        s: usize,
-        id: PreparedId,
-        params: &[Scalar],
-    ) -> Result<QueryResult, DbError> {
-        let txn = self.begin_sub(s);
-        let pid = self.state.table.stmt(id).per_shard[s];
-        self.shards[s].execute_prepared(txn, pid, params)
-    }
-
-    /// Shared prepare core: register `sql` on every shard and in the
-    /// statement table. `adhoc` entries are FIFO-capped
-    /// ([`LANE_ADHOC_CAP`]); durable entries (session prepared sites)
-    /// are not.
-    fn prepare_inner(&mut self, sql: &str, adhoc: bool) -> Result<PreparedId, DbError> {
-        if let Some(id) = self.state.table.lookup(sql) {
-            return Ok(id);
-        }
-        let per_shard = self
-            .shards
-            .iter_mut()
-            .map(|e| e.prepare(sql))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(self.state.table.insert(
-            sql,
-            LaneStmt {
-                per_shard,
-                route: None,
-            },
-            adhoc,
-        ))
-    }
-
-    /// Run on every shard and merge: result rows concatenate in shard
-    /// order, affected counts and virtual costs sum.
-    ///
-    /// Row ORDER contract: a statement without ORDER BY has unspecified
-    /// row order in SQL, and that is exactly what a scatter read
-    /// delivers — shard-concatenation order, which differs from a single
-    /// engine's primary-key scan order (and cannot be reconstructed
-    /// after projection may have dropped the key columns). Programs that
-    /// depend on the order of an unordered multi-shard scan are relying
-    /// on unspecified behavior; order-sensitive scans must add ORDER BY,
-    /// which the router then refuses to scatter
-    /// ([`StmtRoute::Scatter`]`::mergeable == false`) rather than merge
-    /// wrongly.
-    fn exec_scatter(&mut self, id: PreparedId, params: &[Scalar]) -> Result<QueryResult, DbError> {
-        let mut merged: Option<QueryResult> = None;
-        for s in 0..self.shards.len() {
-            let r = self.exec_on(s, id, params)?;
-            match &mut merged {
-                None => merged = Some(r),
-                Some(m) => {
-                    m.rows.extend(r.rows);
-                    m.affected += r.affected;
-                    m.cost += r.cost;
-                }
-            }
-        }
-        Ok(merged.expect("at least one shard"))
-    }
-
-    /// Close the lane transaction: apply `f` (commit or abort) on every
-    /// shard that has an open sub-transaction, summing costs and
-    /// concatenating woken waiters. The first error wins but every shard
-    /// is still closed out. Records the closed set in
-    /// `LaneState::last_closed` (the participant set).
-    fn close_all(
-        &mut self,
-        f: impl Fn(&mut Engine, TxnId) -> Result<(u64, Vec<TxnId>), DbError>,
-    ) -> Result<(u64, Vec<TxnId>), DbError> {
-        let mut cost = 0u64;
-        let mut woken = Vec::new();
-        let mut err = None;
-        self.state.last_closed.clear();
-        for s in 0..self.state.txns.len() {
-            if let Some(t) = self.state.txns[s].take() {
-                self.state.last_closed.push(s);
-                match f(&mut self.shards[s], t) {
-                    Ok((c, w)) => {
-                        cost += c;
-                        woken.extend(w);
-                    }
-                    Err(e) => err = Some(e),
-                }
-            }
-        }
-        self.state.read_only = false;
-        match err {
-            Some(e) => Err(e),
-            None => Ok((cost, woken)),
-        }
-    }
-}
-
-impl Database for LaneEngine<'_, '_> {
-    fn begin(&mut self) -> TxnId {
-        debug_assert!(
-            self.state.txns.iter().all(Option::is_none),
-            "one lane transaction at a time"
-        );
-        self.state.read_only = false;
-        self.state.next_virtual += 1;
-        TxnId(VIRTUAL_BIT | self.state.next_virtual)
-    }
-
-    fn begin_read_only(&mut self) -> TxnId {
-        let t = Database::begin(self);
-        self.state.read_only = true;
-        t
-    }
-
-    fn commit(&mut self, _txn: TxnId) -> Result<(u64, Vec<TxnId>), DbError> {
-        self.close_all(|e, t| e.commit(t))
-    }
-
-    fn abort(&mut self, _txn: TxnId) -> Result<(u64, Vec<TxnId>), DbError> {
-        self.close_all(|e, t| e.abort(t))
-    }
-
-    /// Prepare on every shard; the lane's own handle indexes its
-    /// statement table. The shard route resolves lazily on first
-    /// execution (tables may not exist yet at prepare time, exactly like
-    /// [`Engine::prepare`]'s lazy plans). Handles from this path are
-    /// durable — sessions cache them in their prepared-site tables.
-    fn prepare(&mut self, sql: &str) -> Result<PreparedId, DbError> {
-        self.prepare_inner(sql, false)
-    }
-
-    fn execute(
-        &mut self,
-        txn: TxnId,
-        sql: &str,
-        params: &[Scalar],
-    ) -> Result<QueryResult, DbError> {
-        // Dynamic SQL funnels through the prepared path — same resolver,
-        // same routing, identical results by construction — but its lane
-        // entries are FIFO-capped so computed SQL with inline literals
-        // cannot grow the lane tables without bound. (The shard engines'
-        // prepared registries still accumulate one entry per *distinct*
-        // statement text, as Engine::prepare always has.)
-        let id = self.prepare_inner(sql, true)?;
-        Database::execute_prepared(self, txn, id, params)
-    }
-
-    fn execute_prepared(
-        &mut self,
-        _txn: TxnId,
-        id: PreparedId,
-        params: &[Scalar],
-    ) -> Result<QueryResult, DbError> {
-        match self.route_of(id)? {
-            StmtRoute::ByParam { param } => {
-                let key = params
-                    .get(param)
-                    .ok_or_else(|| DbError::Schema(format!("routing parameter {param} missing")))?;
-                let s = shard_of(key, self.shards.len());
-                self.exec_on(s, id, params)
-            }
-            StmtRoute::ByLit(lit) => {
-                let s = shard_of(&lit, self.shards.len());
-                self.exec_on(s, id, params)
-            }
-            // Replicated reads may use any replica; shard 0 keeps runs
-            // deterministic. Replicated writes apply everywhere so the
-            // copies stay byte-identical (the result is the same on each).
-            StmtRoute::Replicated { write: false } => self.exec_on(0, id, params),
-            StmtRoute::Replicated { write: true } => {
-                let mut out = None;
-                for s in 0..self.shards.len() {
-                    out = Some(self.exec_on(s, id, params)?);
-                }
-                Ok(out.expect("at least one shard"))
-            }
-            StmtRoute::Scatter {
-                mergeable: false, ..
-            } => Err(DbError::Schema(
-                "cross-shard ordered/aggregate scan is not routable; \
-                 add a shard-key equality predicate"
-                    .into(),
-            )),
-            StmtRoute::Scatter { .. } => self.exec_scatter(id, params),
-            StmtRoute::Unroutable { reason } => Err(DbError::Schema(reason.into())),
-        }
-    }
-
-    fn db_stats(&self) -> EngineStats {
-        let mut m = EngineStats::default();
-        for e in self.shards.iter() {
-            m.merge(&e.stats);
-        }
-        m
-    }
 }

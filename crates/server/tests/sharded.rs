@@ -8,13 +8,14 @@
 //!   purely partitionable mix, for a mix with cross-shard transactions
 //!   (including writes to a replicated table, which must fan out to every
 //!   replica), and for a remote-warehouse TPC-C mix at ≥10%
-//!   multi-partition fraction. Cross-shard mixes run through **both**
-//!   lanes — the 2PC coordinator (default) and the serialized quiesce
-//!   oracle — and must agree with the single engine and each other.
+//!   multi-partition fraction. Cross-shard transactions run through the
+//!   2PC coordinator pool.
 //! * **2PC concurrency**: two cross-shard transactions with disjoint
 //!   participant sets commit concurrently (one parked mid-commit while
 //!   the other completes), and a concurrent burst of conflicting
 //!   transfers conserves total stock exactly through wait-die restarts.
+//! * **Coordinator warm-up**: a shard that dies right after the server
+//!   starts cannot fail cross-shard transactions that never touch it.
 //! * **Partition property** (proptest): over random scales/shard counts,
 //!   the sharded loader places every row of a shard-keyed table on
 //!   exactly the shard `shard_of` names — no loss, no duplication — and
@@ -25,8 +26,8 @@ use proptest::prelude::*;
 use pyx_db::{shard_of, DbError, Engine, MemSink, Scalar};
 use pyx_pyxil::CompiledPartition;
 use pyx_server::{
-    Admit, CrossShardMode, Deployment, Dispatcher, DispatcherConfig, InstantEnv, ShardedConfig,
-    ShardedServer, TxnDone, TxnRequest,
+    Admit, Deployment, Dispatcher, DispatcherConfig, InstantEnv, ShardedConfig, ShardedServer,
+    TxnDone, TxnRequest,
 };
 use pyx_workloads::tpcc;
 use std::sync::Arc;
@@ -97,8 +98,8 @@ const MIXED_SRC: &str = r#"
         }
 
         int dynRead(int w) {
-            // Dynamically computed SQL: not a constant site, so the lane
-            // takes its ad-hoc (FIFO-capped) execute path.
+            // Dynamically computed SQL: not a constant site, so the
+            // coordinator takes its ad-hoc (FIFO-capped) execute path.
             row[] rs = dbQuery("SELECT d_id FROM district WHERE d_w_id = " + intToStr(w));
             return rs.length;
         }
@@ -138,23 +139,11 @@ fn run_sharded(
     shards: usize,
     reqs: &[TxnRequest],
 ) -> (Vec<TxnDone>, pyx_server::ShardedReport) {
-    run_sharded_mode(part, engines, shards, reqs, CrossShardMode::TwoPhase)
-}
-
-/// Same, with an explicit cross-shard mode (2PC vs the quiesce oracle).
-fn run_sharded_mode(
-    part: &Arc<CompiledPartition>,
-    engines: Vec<Engine>,
-    shards: usize,
-    reqs: &[TxnRequest],
-    cross_shard: CrossShardMode,
-) -> (Vec<TxnDone>, pyx_server::ShardedReport) {
     let mut srv = ShardedServer::new(
         Arc::clone(part),
         engines,
         ShardedConfig {
             shards,
-            cross_shard,
             ..ShardedConfig::default()
         },
     );
@@ -270,7 +259,7 @@ fn sharded_matches_single_on_partitionable_tpcc() {
 
     assert_eq!(
         report.multi_txns, 0,
-        "home-warehouse mix never uses the lane"
+        "home-warehouse mix never crosses shards"
     );
     assert_eq!(singles.len(), shardeds.len());
     for (a, b) in singles.iter().zip(&shardeds) {
@@ -297,7 +286,7 @@ fn cross_shard_lane_matches_single() {
 
     let mut gen = tpcc::NewOrderGen::new(new_order, scale, 77).with_lines(2, 4);
     let mut reqs = Vec::new();
-    let mut lane_expected = 0u64;
+    let mut multi_expected = 0u64;
     for i in 0..90usize {
         match i % 5 {
             // Cross-warehouse stock transfer: touches two shards.
@@ -314,7 +303,7 @@ fn cross_shard_lane_matches_single() {
                     label: "transfer",
                     route: None,
                 });
-                lane_expected += 1;
+                multi_expected += 1;
             }
             // Replicated-table write: must reach every replica.
             4 => {
@@ -327,7 +316,7 @@ fn cross_shard_lane_matches_single() {
                     label: "reprice",
                     route: None,
                 });
-                lane_expected += 1;
+                multi_expected += 1;
             }
             _ => reqs.push(pyx_server::Workload::next_txn(&mut gen, i)),
         }
@@ -339,8 +328,8 @@ fn cross_shard_lane_matches_single() {
         label: "stock-rows",
         route: None,
     });
-    lane_expected += 1;
-    // Dynamic SQL through the lane's ad-hoc path (distinct statement
+    multi_expected += 1;
+    // Dynamic SQL through the coordinator's ad-hoc path (distinct statement
     // text per warehouse: exercises registration + routing of computed
     // statements).
     for w in 1..=8i64 {
@@ -350,33 +339,29 @@ fn cross_shard_lane_matches_single() {
             label: "dyn-read",
             route: None,
         });
-        lane_expected += 1;
+        multi_expected += 1;
     }
 
     let mut single = fresh_single(scale, seed);
     let singles = run_single(&part, &mut single, &reqs);
 
     let part = Arc::new(part);
-    for mode in [CrossShardMode::TwoPhase, CrossShardMode::Quiesce] {
-        let engines = fresh_shards(scale, seed, 4);
-        let (shardeds, report) = run_sharded_mode(&part, engines, 4, &reqs, mode);
+    let engines = fresh_shards(scale, seed, 4);
+    let (shardeds, report) = run_sharded(&part, engines, 4, &reqs);
 
-        assert_eq!(report.multi_txns, lane_expected, "{mode:?}");
-        for (a, b) in singles.iter().zip(&shardeds) {
-            assert_eq!(a.result, b.result, "{mode:?} txn {} ({})", a.tag, a.label);
-            assert_eq!(a.rolled_back, b.rolled_back, "{mode:?} txn {}", a.tag);
-            assert_eq!(a.error, b.error, "{mode:?} txn {}", a.tag);
-        }
-        assert_state_matches(&single, &report.engines);
-        if mode == CrossShardMode::TwoPhase {
-            let merged = report.merged_engine_stats();
-            // Transfers between different-shard warehouses run real 2PC
-            // prepare rounds; single-shard and replicated work does not
-            // prepare spuriously.
-            assert!(merged.prepares > 0, "2PC mix runs prepare rounds");
-            assert!(report.multi_participants > 0);
-        }
+    assert_eq!(report.multi_txns, multi_expected);
+    for (a, b) in singles.iter().zip(&shardeds) {
+        assert_eq!(a.result, b.result, "txn {} ({})", a.tag, a.label);
+        assert_eq!(a.rolled_back, b.rolled_back, "txn {}", a.tag);
+        assert_eq!(a.error, b.error, "txn {}", a.tag);
     }
+    assert_state_matches(&single, &report.engines);
+    let merged = report.merged_engine_stats();
+    // Transfers between different-shard warehouses run real 2PC prepare
+    // rounds; single-shard and replicated work does not prepare
+    // spuriously.
+    assert!(merged.prepares > 0, "2PC mix runs prepare rounds");
+    assert!(report.multi_participants > 0);
 }
 
 #[test]
@@ -384,32 +369,28 @@ fn lane_rejects_unroutable_ordered_scan() {
     let (pyxis, part) = compile_jdbc(MIXED_SRC);
     let bad = pyxis.entry("Mixed", "badScan").expect("badScan");
     let scale = scale8();
-    let part = Arc::new(part);
-    for mode in [CrossShardMode::TwoPhase, CrossShardMode::Quiesce] {
-        let engines = fresh_shards(scale, 5, 2);
-        let mut srv = ShardedServer::new(
-            Arc::clone(&part),
-            engines,
-            ShardedConfig {
-                shards: 2,
-                cross_shard: mode,
-                ..ShardedConfig::default()
-            },
-        );
-        srv.submit(
-            TxnRequest {
-                entry: bad,
-                args: vec![],
-                label: "bad-scan",
-                route: None,
-            },
-            0,
-        );
-        let d = srv.recv_done().expect("cross-shard result");
-        let err = d.error.expect("ordered cross-shard scan must fail loudly");
-        assert!(err.contains("not routable"), "{mode:?}: {err}");
-        srv.shutdown();
-    }
+    let engines = fresh_shards(scale, 5, 2);
+    let mut srv = ShardedServer::new(
+        Arc::new(part),
+        engines,
+        ShardedConfig {
+            shards: 2,
+            ..ShardedConfig::default()
+        },
+    );
+    srv.submit(
+        TxnRequest {
+            entry: bad,
+            args: vec![],
+            label: "bad-scan",
+            route: None,
+        },
+        0,
+    );
+    let d = srv.recv_done().expect("cross-shard result");
+    let err = d.error.expect("ordered cross-shard scan must fail loudly");
+    assert!(err.contains("not routable"), "{err}");
+    srv.shutdown();
 }
 
 #[test]
@@ -504,7 +485,7 @@ fn concurrent_disjoint_warehouses_deterministic() {
 #[test]
 fn per_shard_wal_recovery_rebuilds_every_shard_independently() {
     // Serve a mixed stream — partitionable new-orders plus cross-shard
-    // lane transactions (transfers touch two shards, reprices touch every
+    // transactions (transfers touch two shards, reprices touch every
     // replica) — with one WAL per shard under group commit, then treat
     // the post-shutdown engines as the lost in-memory state and rebuild
     // each shard from its own log alone.
@@ -553,7 +534,7 @@ fn per_shard_wal_recovery_rebuilds_every_shard_independently() {
         dones.iter().all(|d| d.error.is_none()),
         "healthy run: no durability errors"
     );
-    assert!(report.multi_txns > 0, "the mix exercises the lane");
+    assert!(report.multi_txns > 0, "the mix crosses shards");
     let merged = report.merged_engine_stats();
     assert!(merged.wal_records > 0, "commits were logged");
     assert!(merged.wal_fsyncs > 0, "acknowledgement points flushed");
@@ -625,18 +606,22 @@ fn dead_worker_surfaces_errors_and_shard_goes_unavailable() {
 
     // Arm the kill pill first (the channel is ordered, so the countdown
     // is in place before any work arrives), then submit four
-    // transactions: the worker reports exactly two results and dies with
-    // two still in flight.
+    // transactions: the worker reports exactly two results and dies on
+    // the third. It may finish its third transaction before the fourth
+    // submit arrives; that submit then finds the shard dead and is
+    // refused up front.
     srv.inject_worker_crash(0, 2);
+    let mut admitted = 0;
     for i in 0..4usize {
-        assert_eq!(
-            srv.submit(routed(&mut gen, i, w_dead), i as u64),
-            Admit::Started
-        );
+        match srv.submit(routed(&mut gen, i, w_dead), i as u64) {
+            Admit::Started => admitted += 1,
+            Admit::Unavailable => assert_eq!(admitted, 3, "refused only after the death"),
+            other => panic!("submit {i}: {other:?}"),
+        }
     }
     let mut ok = 0;
     let mut lost = Vec::new();
-    for _ in 0..4 {
+    for _ in 0..admitted {
         let d = srv.recv_done().expect("all four must retire");
         match d.error {
             None => ok += 1,
@@ -647,7 +632,11 @@ fn dead_worker_surfaces_errors_and_shard_goes_unavailable() {
         }
     }
     assert_eq!(ok, 2, "results shipped before the crash still count");
-    assert_eq!(lost.len(), 2, "in-flight losses surface as error results");
+    assert_eq!(
+        lost.len(),
+        admitted - 2,
+        "in-flight losses surface as error results"
+    );
     assert_eq!(srv.dead_shards(), vec![0]);
 
     // The dead shard refuses new work up front…
@@ -673,10 +662,10 @@ fn dead_worker_surfaces_errors_and_shard_goes_unavailable() {
 
 /// TPC-C remote-warehouse mix at ~15% remote transactions (remote-supplier
 /// new-orders + remote-customer payments): serialized submission through
-/// the 2PC lane and through the quiesce oracle must both reproduce the
-/// single-engine run tag-for-tag and state row-for-row.
+/// the 2PC coordinator pool must reproduce the single-engine run
+/// tag-for-tag and state row-for-row.
 #[test]
-fn remote_warehouse_mix_matches_single_under_2pc_and_quiesce() {
+fn remote_warehouse_mix_matches_single_under_2pc() {
     let (pyxis, part) = compile_jdbc(tpcc::REMOTE_SRC);
     let order = pyxis.entry("RemoteOrder", "remoteOrder").expect("order");
     let pay = pyxis.entry("RemoteOrder", "pay").expect("pay");
@@ -700,26 +689,22 @@ fn remote_warehouse_mix_matches_single_under_2pc_and_quiesce() {
     let singles = run_single(&part, &mut single, &reqs);
 
     let part = Arc::new(part);
-    for mode in [CrossShardMode::TwoPhase, CrossShardMode::Quiesce] {
-        let engines = fresh_shards(scale, seed, 4);
-        let (shardeds, report) = run_sharded_mode(&part, engines, 4, &reqs, mode);
-        assert_eq!(report.multi_txns, remote as u64, "{mode:?}");
-        for (a, b) in singles.iter().zip(&shardeds) {
-            assert_eq!(a.result, b.result, "{mode:?} txn {} ({})", a.tag, a.label);
-            assert_eq!(a.rolled_back, b.rolled_back, "{mode:?} txn {}", a.tag);
-            assert_eq!(a.error, b.error, "{mode:?} txn {}", a.tag);
-        }
-        assert_state_matches(&single, &report.engines);
-        if mode == CrossShardMode::TwoPhase {
-            let merged = report.merged_engine_stats();
-            assert!(merged.prepares > 0, "remote mix runs prepare rounds");
-            assert_eq!(merged.prepare_aborts, 0, "healthy run: no vetoes");
-            // Committed cross-shard transactions average more than one
-            // participant (same-shard "remote" warehouses allow exactly
-            // one, but two-shard transfers dominate).
-            assert!(report.multi_participants > report.multi_txns / 2);
-        }
+    let engines = fresh_shards(scale, seed, 4);
+    let (shardeds, report) = run_sharded(&part, engines, 4, &reqs);
+    assert_eq!(report.multi_txns, remote as u64);
+    for (a, b) in singles.iter().zip(&shardeds) {
+        assert_eq!(a.result, b.result, "txn {} ({})", a.tag, a.label);
+        assert_eq!(a.rolled_back, b.rolled_back, "txn {}", a.tag);
+        assert_eq!(a.error, b.error, "txn {}", a.tag);
     }
+    assert_state_matches(&single, &report.engines);
+    let merged = report.merged_engine_stats();
+    assert!(merged.prepares > 0, "remote mix runs prepare rounds");
+    assert_eq!(merged.prepare_aborts, 0, "healthy run: no vetoes");
+    // Committed cross-shard transactions average more than one
+    // participant (same-shard "remote" warehouses allow exactly one, but
+    // two-shard transfers dominate).
+    assert!(report.multi_participants > report.multi_txns / 2);
 }
 
 /// Cross-shard stress under *concurrent* submission: a burst of transfers
@@ -794,8 +779,7 @@ fn concurrent_cross_shard_transfers_conserve_stock() {
 /// participant sets commit *concurrently*. T1 (shards {0,1}) is parked
 /// between its prepare and commit phases — locks held on both
 /// participants — while T2 (shards {2,3}) is submitted and runs to
-/// completion. Under the old quiesce-all lane T2 could not even start
-/// until T1 released every shard.
+/// completion: T2 needs nothing T1 holds, so it must not wait for T1.
 #[test]
 fn disjoint_cross_shard_transactions_commit_concurrently() {
     let (pyxis, part) = compile_jdbc(MIXED_SRC);
@@ -969,6 +953,70 @@ fn participant_death_mid_2pc_aborts_cleanly_and_coordinator_survives() {
         "the death was observed and counted"
     );
     assert!(report.recoveries.is_empty());
+}
+
+/// Regression: the coordinator pool's statement table is warmed inside
+/// `ShardedServer::new`, over live workers, before it returns. A shard
+/// that dies right after construction therefore cannot leave a
+/// coordinator with a partial table — one whose later ad-hoc prepares
+/// would fan out to the dead shard and fail transactions that never
+/// touch it.
+#[test]
+fn shard_death_after_startup_spares_cross_shard_work_that_avoids_it() {
+    let (pyxis, part) = compile_jdbc(MIXED_SRC);
+    let transfer = pyxis.entry("Mixed", "transfer").expect("transfer");
+    let scale = scale8();
+    let engines = fresh_shards(scale, 71, 4);
+    let mut srv = ShardedServer::new(
+        Arc::new(part),
+        engines,
+        ShardedConfig {
+            shards: 4,
+            coordinators: 2,
+            ..ShardedConfig::default()
+        },
+    );
+    srv.inject_worker_crash(1, 0);
+    let t0 = std::time::Instant::now();
+    while srv.dead_shards() != vec![1] {
+        assert!(t0.elapsed().as_secs() < 30, "worker death undetected");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        srv.reap_now();
+    }
+    let wh = |shard: usize| {
+        (1..=64i64)
+            .find(|&k| shard_of(&Scalar::Int(k), 4) == shard)
+            .expect("some warehouse routes to every shard")
+    };
+    // Distinct items, so the transfers never wait on each other and both
+    // coordinators run one at a time.
+    let live = [(0, 2), (2, 3), (3, 0), (0, 3)];
+    for (tag, &(from, to)) in live.iter().enumerate() {
+        let req = TxnRequest {
+            entry: transfer,
+            args: vec![
+                pyx_runtime::ArgVal::Int(wh(from)),
+                pyx_runtime::ArgVal::Int(wh(to)),
+                pyx_runtime::ArgVal::Int(tag as i64 + 1),
+                pyx_runtime::ArgVal::Int(1),
+            ],
+            label: "transfer",
+            route: None,
+        };
+        assert_eq!(srv.submit(req, tag as u64), Admit::Started);
+    }
+    let done = srv.drain();
+    assert_eq!(done.len(), live.len());
+    for d in &done {
+        assert!(d.error.is_none(), "txn {}: {:?}", d.tag, d.error);
+        assert_eq!(d.participants, 2, "txn {}", d.tag);
+    }
+    let (_, report) = srv.shutdown();
+    assert_eq!(report.multi_txns, live.len() as u64);
+    assert_eq!(
+        report.participant_deaths, 0,
+        "no transaction touched the dead shard"
+    );
 }
 
 /// Tentpole: with self-healing enabled and a log-shipping replica per
